@@ -1,6 +1,6 @@
 // Fleet data-plane throughput guard: many SMALL cells pushed through
 // the worker-process fleet, with the credit window open (default 8)
-// versus the PR 9 lock-step window of 1, on both wire codecs.
+// versus the lock-step window of 1.
 //
 // The point of the credit window is the BSP lesson (PAPER.md): latency
 // charges per superstep, not per message. Lock-step dispatch pays one
@@ -11,8 +11,7 @@
 //
 //   pipeline_speedup = cells_per_sec(window 8) / cells_per_sec(window 1)
 //
-// at workers=4 on the binary wire (the default data plane). Every
-// timed fleet run is ALSO byte-compared against an in-process --jobs 1
+// at workers=4. Every timed fleet run is ALSO byte-compared against an in-process --jobs 1
 // reference (the test_fleet oracle), so the speedup can never come at
 // the cost of the byte-identity contract — on a 1-core CI host where
 // the speedup floor is 1.0, the identity oracle is the real check.
@@ -23,8 +22,8 @@
 // cost is excluded and the number is steady-state pipe throughput.
 //
 // Extra flag (stripped before google-benchmark sees argv):
-//   --min-pipeline-speedup=X  fail (exit 1) if the workers=4 binary
-//                             wire speedup < X (default 1.0;
+//   --min-pipeline-speedup=X  fail (exit 1) if the workers=4 pipeline
+//                             speedup < X (default 1.0;
 //                             tools/run_checks.sh passes 1.5 on hosts
 //                             with >= 4 cores)
 
@@ -45,7 +44,6 @@
 #include "runtime/fleet/sweep_fleet.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sweep.hpp"
-#include "runtime/sweep_service/protocol.hpp"
 
 namespace pb = parbounds;
 using namespace parbounds::bench;
@@ -118,7 +116,6 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
 }
 
 struct Config {
-  unsigned wire;
   unsigned workers;
   unsigned window;
 };
@@ -130,10 +127,6 @@ struct Measurement {
   std::uint64_t window_depth = 0;  ///< high-water in-flight depth
 };
 
-const char* wire_name(unsigned wire) {
-  return wire == pb::service::kWireVersionBinary ? "binary" : "text";
-}
-
 /// Spawn one fleet for `cfg`, run warmup + timed sweeps of the same
 /// cells, byte-compare EVERY run against the reference, and return the
 /// min wall time. Exits 1 on any byte divergence.
@@ -142,7 +135,6 @@ Measurement run_config(const Config& cfg, std::uint64_t base_seed,
   pb::fleet::FleetConfig fc;
   fc.workers = cfg.workers;
   fc.window = cfg.window;
-  fc.wire = cfg.wire;  // explicit: PARBOUNDS_FLEET_WIRE must not leak in
   pb::fleet::FleetCoordinator fleet(fc);
 
   Measurement m;
@@ -158,9 +150,9 @@ Measurement run_config(const Config& cfg, std::uint64_t base_seed,
     if (report != reference) {
       std::fprintf(stderr,
                    "bench_fleet_throughput: report diverged from the "
-                   "in-process reference at wire=%s workers=%u window=%u "
+                   "in-process reference at workers=%u window=%u "
                    "(rep %u)\n",
-                   wire_name(cfg.wire), cfg.workers, cfg.window, rep);
+                   cfg.workers, cfg.window, rep);
       std::exit(1);
     }
     if (rep >= kWarmupReps) m.best_ns = std::min(m.best_ns, wall);
@@ -180,21 +172,11 @@ double cells_per_sec(const Measurement& m) {
 
 int main(int argc, char** argv) {
   double min_speedup = 1.0;
-  {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--min-pipeline-speedup=", 0) == 0)
-        min_speedup = std::stod(arg.substr(23));
-      else
-        argv[w++] = argv[i];
-    }
-    argc = w;
-  }
+  strip_gate_flags(argc, argv, {{"--min-pipeline-speedup", &min_speedup}});
 
   auto& session = session_init(argc, argv, "fleet");
   std::printf("%s", pb::banner("FLEET THROUGHPUT — credit-window pipeline "
-                               "vs lock-step, text vs binary wire")
+                               "vs lock-step")
                         .c_str());
 
   // The fleets below observe telemetry in their WORKERS; whatever the
@@ -208,22 +190,19 @@ int main(int argc, char** argv) {
 
   const std::vector<Config> matrix = [] {
     std::vector<Config> m;
-    for (const unsigned wire : {pb::service::kWireVersionText,
-                                pb::service::kWireVersionBinary})
-      for (const unsigned workers : {1u, 2u, 4u})
-        for (const unsigned window : {1u, 8u}) m.push_back({wire, workers, window});
+    for (const unsigned workers : {1u, 2u, 4u})
+      for (const unsigned window : {1u, 8u}) m.push_back({workers, window});
     return m;
   }();
 
-  pb::TextTable t({"wire", "workers", "window", "best wall (ms)", "cells/s",
+  pb::TextTable t({"workers", "window", "best wall (ms)", "cells/s",
                    "bytes_tx", "frames_tx", "depth"});
-  // cps[wire][workers][window]
-  double cps[3][5][9] = {};
+  // cps[workers][window]
+  double cps[5][9] = {};
   for (const Config& cfg : matrix) {
     const Measurement m = run_config(cfg, base_seed, reference);
-    cps[cfg.wire][cfg.workers][cfg.window] = cells_per_sec(m);
-    t.add_row({wire_name(cfg.wire), std::to_string(cfg.workers),
-               std::to_string(cfg.window),
+    cps[cfg.workers][cfg.window] = cells_per_sec(m);
+    t.add_row({std::to_string(cfg.workers), std::to_string(cfg.window),
                pb::TextTable::num(static_cast<double>(m.best_ns) / 1e6, 3),
                pb::TextTable::num(cells_per_sec(m), 0),
                std::to_string(m.bytes_tx), std::to_string(m.frames_tx),
@@ -231,14 +210,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  using pb::service::kWireVersionBinary;
-  using pb::service::kWireVersionText;
-  const double speedup_binary =
-      cps[kWireVersionBinary][4][8] / cps[kWireVersionBinary][4][1];
-  const double speedup_text =
-      cps[kWireVersionText][4][8] / cps[kWireVersionText][4][1];
-  const double wire_speedup =
-      cps[kWireVersionBinary][4][8] / cps[kWireVersionText][4][8];
+  const double speedup = cps[4][8] / cps[4][1];
 
   // Measurements into the JSON report as single-trial cells, the
   // bench_obs_overhead way (a wall ratio recorded as a deterministic
@@ -246,32 +218,23 @@ int main(int argc, char** argv) {
   sweep("fleet_throughput",
         {{.key = "fleet/pipeline_speedup/binary",
           .trials = 1,
-          .run = [speedup_binary](std::uint64_t) { return speedup_binary; }},
-         {.key = "fleet/pipeline_speedup/text",
-          .trials = 1,
-          .run = [speedup_text](std::uint64_t) { return speedup_text; }},
-         {.key = "fleet/wire_speedup/binary_vs_text",
-          .trials = 1,
-          .run = [wire_speedup](std::uint64_t) { return wire_speedup; }}});
+          .run = [speedup](std::uint64_t) { return speedup; }}});
 
-  std::printf(
-      "pipeline_speedup (workers=4, window 8 vs 1): binary %.2fx, "
-      "text %.2fx; binary vs text wire at window 8: %.2fx\n",
-      speedup_binary, speedup_text, wire_speedup);
   std::printf("identity oracle: every fleet report matched the in-process "
               "bytes (%u configs x %u runs)\n",
               static_cast<unsigned>(matrix.size()),
               kWarmupReps + kGuardReps);
 
-  if (speedup_binary < min_speedup) {
+  if (speedup < min_speedup) {
     std::fprintf(stderr,
                  "bench_fleet_throughput: pipeline_speedup %.3fx below "
-                 "--min-pipeline-speedup=%.2f (workers=4, binary wire)\n",
-                 speedup_binary, min_speedup);
+                 "--min-pipeline-speedup=%.2f (workers=4, window 8 vs 1)\n",
+                 speedup, min_speedup);
     return 1;
   }
-  std::printf("pipeline_speedup %.3fx (floor %.2fx) — ok\n", speedup_binary,
-              min_speedup);
+  std::printf("pipeline_speedup %.3fx (workers=4, window 8 vs 1; floor "
+              "%.2fx) — ok\n",
+              speedup, min_speedup);
 
   benchmark::RegisterBenchmark(
       "fleet/sweep_inproc/jobs1", [base_seed](benchmark::State& st) {

@@ -626,23 +626,11 @@ int main(int argc, char** argv) {
   double min_degree = 0.0;
   double min_shard = 0.0;
   double min_simd = 0.0;
-  {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--min-phase-speedup=", 0) == 0)
-        min_phase = std::stod(arg.substr(20));
-      else if (arg.rfind("--min-degree-speedup=", 0) == 0)
-        min_degree = std::stod(arg.substr(21));
-      else if (arg.rfind("--min-shard-speedup=", 0) == 0)
-        min_shard = std::stod(arg.substr(20));
-      else if (arg.rfind("--min-simd-speedup=", 0) == 0)
-        min_simd = std::stod(arg.substr(19));
-      else
-        argv[w++] = argv[i];
-    }
-    argc = w;
-  }
+  strip_gate_flags(argc, argv,
+                   {{"--min-phase-speedup", &min_phase},
+                    {"--min-degree-speedup", &min_degree},
+                    {"--min-shard-speedup", &min_shard},
+                    {"--min-simd-speedup", &min_simd}});
 
   auto& session = session_init(argc, argv, "hotpath");
   std::printf("%s", pb::banner("HOT PATHS — sort-based phase commit and "

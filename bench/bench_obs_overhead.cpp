@@ -278,17 +278,7 @@ Run run_commits(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   double max_overhead = 1.05;
-  {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--max-overhead=", 0) == 0)
-        max_overhead = std::stod(arg.substr(15));
-      else
-        argv[w++] = argv[i];
-    }
-    argc = w;
-  }
+  strip_gate_flags(argc, argv, {{"--max-overhead", &max_overhead}});
 
   auto& session = session_init(argc, argv, "obs_overhead");
   std::printf("%s", pb::banner("OBS OVERHEAD — commit loop with detached "

@@ -47,13 +47,16 @@
 //                  cell cache across the fleet.
 //   --fleet-window K  per-worker credit window under --workers: each
 //                  worker holds up to K cells in flight (default 8;
-//                  1 = PR 9 lock-step). Window depth cannot change a
-//                  report byte — responses merge by placement index.
-//                  PARBOUNDS_FLEET_WIRE=text|binary picks the wire
-//                  codec (docs/SERVICE.md#wire-v2; default binary).
+//                  1 = lock-step, one pipe round-trip per cell). Window
+//                  depth cannot change a report byte — responses merge
+//                  by placement index.
+//   --help         print the harness flag block and google-benchmark's
+//                  usage, then exit 0 before any sweep runs.
 //
 // All flags are stripped before benchmark::Initialize sees argv
-// (src/runtime/harness_flags.*). See docs/RUNTIME.md for the seeding
+// (src/runtime/harness_flags.*). Benches with a measured gate take it
+// as `--min-...=X` / `--max-...=X`, parsed strictly by
+// strip_gate_flags below. See docs/RUNTIME.md for the seeding
 // discipline.
 //
 // The PARBOUNDS_SIMD environment variable (portable|avx2|avx512) pins
@@ -68,11 +71,14 @@
 // literally the same functions, which is what makes a cached result
 // interchangeable with a local one.
 
+#include <benchmark/benchmark.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -153,6 +159,12 @@ class BenchSession {
     const auto flags = runtime::parse_harness_flags(
         argc, argv, "BENCH_" + report_.bench + ".json",
         "TRACE_" + report_.bench + ".json");
+    if (flags.help) {
+      std::printf("usage: %s [harness flags] [google-benchmark flags]\n\n%s\n",
+                  report_.bench.c_str(), runtime::harness_usage());
+      benchmark::PrintDefaultHelp();
+      std::exit(0);
+    }
     if (flags.error) {
       std::fprintf(stderr, "bench: %s\n", flags.error_message.c_str());
       std::exit(2);
@@ -357,6 +369,18 @@ class BenchSession {
   obs::MetricsSnapshot fleet_metrics_;  ///< merged across sweeps
   bool fleet_metrics_valid_ = false;
 };
+
+/// Strip a bench's `--NAME=X` gate flags from argv (call before
+/// session_init). A malformed value is a typed error: message on
+/// stderr, exit 2.
+inline void strip_gate_flags(int& argc, char** argv,
+                             std::initializer_list<runtime::GateFlag> gates) {
+  const std::string err = runtime::parse_gate_flags(argc, argv, gates);
+  if (!err.empty()) {
+    std::fprintf(stderr, "bench: %s\n", err.c_str());
+    std::exit(2);
+  }
+}
 
 /// Bench-main bootstrap: parse/strip harness flags.
 inline BenchSession& session_init(int& argc, char** argv, std::string name) {

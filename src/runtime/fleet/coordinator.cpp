@@ -35,30 +35,6 @@ void close_quiet(int& fd) {
   fd = -1;
 }
 
-/// Blocking read of one whole frame (the handshake ack; data-plane
-/// reads go through the poll loop instead).
-bool read_frame_blocking(int fd, service::FrameDecoder& decoder,
-                         std::string& payload) {
-  for (;;) {
-    switch (decoder.next(payload)) {
-      case service::FrameResult::Ok:
-        return true;
-      case service::FrameResult::TooLarge:
-        return false;
-      case service::FrameResult::NeedMore:
-        break;
-    }
-    char buf[4096];
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-  }
-}
-
 }  // namespace
 
 FleetCoordinator::FleetCoordinator(FleetConfig cfg) : cfg_(std::move(cfg)) {
@@ -68,12 +44,6 @@ FleetCoordinator::FleetCoordinator(FleetConfig cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument("fleet: max_attempts must be >= 1");
   if (cfg_.window == 0)
     throw std::invalid_argument("fleet: window must be >= 1");
-  if (cfg_.wire == 0) cfg_.wire = wire_version_from_env();
-  if (cfg_.wire > service::kWireVersionMax)
-    throw std::invalid_argument("fleet: wire version " +
-                                std::to_string(cfg_.wire) +
-                                " is newer than this build speaks");
-  if (cfg_.worker_exe.empty()) cfg_.worker_exe = "/proc/self/exe";
 
   spawn_id_ = metrics_.counter("fleet.worker.spawn");
   exit_id_ = metrics_.counter("fleet.worker.exit");
@@ -126,7 +96,12 @@ bool FleetCoordinator::spawn(unsigned slot) {
   int req[2] = {-1, -1};
   int resp[2] = {-1, -1};
   if (::pipe2(req, O_CLOEXEC) != 0) return false;
-  if (::pipe2(resp, O_CLOEXEC) != 0) {
+  // The coordinator's write end is non-blocking, so a full pipe parks
+  // frames in the WriteQueue for the next POLLOUT instead of stalling
+  // the whole poll loop; the worker's read end stays blocking.
+  const int fl = ::fcntl(req[1], F_GETFL);
+  if (fl < 0 || ::fcntl(req[1], F_SETFL, fl | O_NONBLOCK) < 0 ||
+      ::pipe2(resp, O_CLOEXEC) != 0) {
     close_quiet(req[0]);
     close_quiet(req[1]);
     return false;
@@ -151,7 +126,7 @@ bool FleetCoordinator::spawn(unsigned slot) {
     // closes on exec.
     ::fcntl(req[0], F_SETFD, 0);
     ::fcntl(resp[1], F_SETFD, 0);
-    ::execl(cfg_.worker_exe.c_str(), cfg_.worker_exe.c_str(), token,
+    ::execl("/proc/self/exe", "/proc/self/exe", token,
             static_cast<char*>(nullptr));
     _exit(127);  // exec failed; parent sees EOF before any frame
   }
@@ -167,36 +142,6 @@ bool FleetCoordinator::spawn(unsigned slot) {
   w.queue.clear();
   w.inflight.clear();
   w.outq.clear();
-
-  // Wire-version handshake before any work flows: offer our version,
-  // block for the ack (the worker answers it immediately after exec,
-  // long before any kernel runs). A malformed or out-of-range ack is a
-  // stillborn worker.
-  const auto abort_spawn = [&]() {
-    ::kill(pid, SIGKILL);
-    close_quiet(w.to_fd);
-    close_quiet(w.from_fd);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    w.alive = false;
-    return false;
-  };
-  std::string frame;
-  service::append_frame(frame, kOfferPrefix + std::to_string(cfg_.wire));
-  if (!write_all_fd(w.to_fd, frame)) return abort_spawn();
-  std::string ack;
-  unsigned acked = 0;
-  if (!read_frame_blocking(w.from_fd, w.decoder, ack) ||
-      !parse_handshake(ack, kAckPrefix, acked) || acked > cfg_.wire)
-    return abort_spawn();
-  w.wire = acked;
-
-  // The data plane writes through a non-blocking fd so a full pipe
-  // parks frames in the WriteQueue for the next POLLOUT instead of
-  // stalling the whole poll loop.
-  const int fl = ::fcntl(w.to_fd, F_GETFL);
-  if (fl < 0 || ::fcntl(w.to_fd, F_SETFL, fl | O_NONBLOCK) < 0)
-    return abort_spawn();
 
   metrics_.add(spawn_id_);
   obs::Span span(obs::process_tracer(), "fleet.spawn", slot);
@@ -275,12 +220,8 @@ std::vector<service::Response> FleetCoordinator::run_requests(
         w.head_deadline_ns = steady_now_ns() + deadline_step;
       w.inflight.push_back(idx);
       ++attempts[idx];
-      if (w.wire >= service::kWireVersionBinary) {
-        encode_scratch_.clear();
-        service::encode_request_binary(reqs[idx], encode_scratch_);
-      } else {
-        encode_scratch_ = service::encode_request(reqs[idx]);
-      }
+      encode_scratch_.clear();
+      service::encode_request_binary(reqs[idx], encode_scratch_);
       w.outq.push(encode_scratch_);
       queued_any = true;
     }
@@ -358,11 +299,8 @@ std::vector<service::Response> FleetCoordinator::run_requests(
       metrics_.add(frames_rx_id_);
       service::Response resp;
       std::string err;
-      const bool decoded =
-          w.wire >= service::kWireVersionBinary
-              ? service::decode_response_binary(payload, resp, err)
-              : service::decode_response(payload, resp, err);
-      if (!decoded || w.inflight.empty() ||
+      if (!service::decode_response_binary(payload, resp, err) ||
+          w.inflight.empty() ||
           resp.id != reqs[w.inflight.front()].id) {
         ::kill(w.pid, SIGKILL);
         on_death(slot);

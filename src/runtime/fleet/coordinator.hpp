@@ -1,9 +1,10 @@
 #pragma once
 // FleetCoordinator — the parent half of the sweep fleet
-// (docs/SERVICE.md). It fork/execs N copies of the host binary as
-// workers (worker.hpp), streams requests and responses over per-worker
-// pipe pairs using the service frame codec, and returns responses in
-// request order.
+// (docs/SERVICE.md). It fork/execs N copies of the host binary
+// (/proc/self/exe) as workers (worker.hpp), streams requests and
+// responses over per-worker pipe pairs — binary-codec messages
+// (protocol.hpp) in the service's length-prefixed frames — and returns
+// responses in request order.
 //
 // Placement follows the static partition (partition.hpp): request i is
 // initially assigned to owner_of(total, workers, i). Each worker holds
@@ -19,11 +20,10 @@
 // batched through one writev(2) per poll iteration (transport.hpp
 // WriteQueue), with buffers recycled rather than reallocated.
 //
-// At spawn the pair negotiates a wire version (worker.hpp handshake):
-// v1 JSON text or the v2 binary codec, chosen by FleetConfig::wire or
-// PARBOUNDS_FLEET_WIRE. Both wires produce byte-identical reports;
-// test_fleet diffs them the way the SIMD dispatch-equivalence oracle
-// diffs kernels.
+// Spawning only forks: the constructor never waits for a worker to
+// exec. A worker that fails to exec, or dies before its first answer,
+// surfaces like any later crash — EOF on its response pipe or a failed
+// request write.
 //
 // Failure handling. Three signals mean a dead or wedged worker: its
 // response pipe reaches EOF (clean or mid-frame — a crash leaves a
@@ -63,9 +63,6 @@ namespace parbounds::fleet {
 
 struct FleetConfig {
   unsigned workers = 1;
-  /// Worker executable; empty = /proc/self/exe (re-exec the host
-  /// binary, whose main() must call maybe_run_worker first).
-  std::string worker_exe;
   /// Shared content-addressed cell cache directory, exported to the
   /// workers' environment; empty = no cache.
   std::string cache_dir;
@@ -76,13 +73,10 @@ struct FleetConfig {
   /// worker's in-flight window; a worker that exceeds it is SIGKILLed
   /// and its whole window retried. 0 disables the deadline.
   int request_deadline_ms = 0;
-  /// Credit window: in-flight requests per worker (>= 1). 1 restores
-  /// the PR 9 lock-step behavior; 8 keeps a small-cell pipe busy.
+  /// Credit window: in-flight requests per worker (>= 1). 1 is
+  /// lock-step (one round-trip per request); 8 keeps a small-cell pipe
+  /// busy.
   unsigned window = 8;
-  /// Wire version (protocol.hpp): kWireVersionText or
-  /// kWireVersionBinary. 0 = resolve from PARBOUNDS_FLEET_WIRE
-  /// (worker.hpp wire_version_from_env; default binary).
-  unsigned wire = 0;
 };
 
 class FleetCoordinator {
@@ -102,7 +96,6 @@ class FleetCoordinator {
 
   unsigned workers() const { return cfg_.workers; }
   unsigned window() const { return cfg_.window; }
-  unsigned wire() const { return cfg_.wire; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// Convenience: current value of one fleet.* counter or gauge.
   std::uint64_t counter(const std::string& name) const;
@@ -114,7 +107,6 @@ class FleetCoordinator {
     int from_fd = -1;  ///< worker -> coordinator responses
     service::FrameDecoder decoder;
     bool alive = false;
-    unsigned wire = service::kWireVersionText;  ///< negotiated at spawn
     std::deque<std::size_t> queue;     ///< assigned, not yet sent
     std::deque<std::size_t> inflight;  ///< sent, unanswered (FIFO)
     /// Deadline for inflight.front(); armed when a request reaches the

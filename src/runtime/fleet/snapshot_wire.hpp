@@ -13,17 +13,9 @@
 // same TelemetryObserver construction encode snapshots with identical
 // record sequences, which is the precondition merge_from() checks.
 //
-// Wire v2 adds a binary form (docs/SERVICE.md#wire-v2): a 0x01 magic
-// byte, a varint metric count, then per metric a kind byte, a
-// varint-length name and varint values — bit-exact over the full u64
-// range, no decimal detour, and one byte for the small counter values
-// snapshots mostly carry (fixed u64le would triple a typical
-// snapshot's size against the decimal text form). The two encodings are self-identifying (a text
-// snapshot always starts with 'c', 'g' or 'h'; 0x01 is none of them),
-// so decode_snapshot dispatches on the first byte and a merged report
-// can mix snapshots from text-wire and binary-wire workers — a warm
-// shared-cache hit stores the canonical text form regardless of the
-// wire a response travels on.
+// The same bytes travel on the fleet's binary wire (as the telemetry
+// field of a cell response) and sit in the shared cell cache, where
+// entries stay human-readable (docs/SERVICE.md#fleet).
 
 #include <string>
 #include <string_view>
@@ -32,16 +24,10 @@
 
 namespace parbounds::fleet {
 
-/// First byte of a binary-encoded snapshot; never the first byte of a
-/// text one.
-inline constexpr char kSnapshotBinaryMagic = '\x01';
-
 std::string encode_snapshot(const obs::MetricsSnapshot& snap);
-std::string encode_snapshot_binary(const obs::MetricsSnapshot& snap);
 
-/// Strict decode of either encoding (dispatched on the first byte); on
-/// failure returns false and sets `err`. An empty string decodes to an
-/// empty snapshot.
+/// Strict decode; on failure returns false and sets `err`. An empty
+/// string decodes to an empty snapshot.
 bool decode_snapshot(std::string_view wire, obs::MetricsSnapshot& out,
                      std::string& err);
 

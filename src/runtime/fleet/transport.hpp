@@ -65,10 +65,6 @@ class FdTransport : public service::Transport {
   bool send_failed_ = false;
 };
 
-/// write(2) until `bytes` is fully flushed, retrying EINTR; false on
-/// any other error (notably EPIPE when the reader died).
-bool write_all_fd(int fd, const std::string& bytes);
-
 /// Batched, buffer-reusing frame writer over a non-blocking fd.
 class WriteQueue {
  public:

@@ -9,14 +9,10 @@
 #include <exception>
 #include <memory>
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/fleet/snapshot_wire.hpp"
 #include "runtime/fleet/transport.hpp"
-#include "runtime/harness_flags.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sweep_service/cache.hpp"
@@ -80,7 +76,7 @@ service::Response run_one(const service::Request& req) {
 }
 
 service::Response run_cell(const service::Request& req,
-                           service::ResultCache* cache, unsigned wire) {
+                           service::ResultCache* cache) {
   service::Response resp;
   resp.id = req.id;
 
@@ -126,18 +122,11 @@ service::Response run_cell(const service::Request& req,
     resp.costs.push_back(cost);
   }
   obs::install_process_telemetry(nullptr);
-  // The wire carries the negotiated snapshot form; the shared cache
-  // always stores the canonical TEXT form so a cell cached under one
-  // wire mode replays byte-compatibly under the other (decode_snapshot
-  // dispatches on the payload itself).
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  const std::string text_wire = encode_snapshot(snap);
-  resp.telemetry = wire >= service::kWireVersionBinary
-                       ? encode_snapshot_binary(snap)
-                       : text_wire;
-
+  // Encoded once: the same snapshot bytes go on the wire and into the
+  // shared cache.
+  resp.telemetry = encode_snapshot(registry.snapshot());
   if (cache != nullptr)
-    cache->insert(key, encode_cell_payload(resp.costs, text_wire));
+    cache->insert(key, encode_cell_payload(resp.costs, resp.telemetry));
   return resp;
 }
 
@@ -182,34 +171,6 @@ bool decode_cell_payload(std::string_view payload,
   return true;
 }
 
-bool parse_handshake(std::string_view payload, std::string_view prefix,
-                     unsigned& version) {
-  if (payload.substr(0, prefix.size()) != prefix) return false;
-  const std::string rest(payload.substr(prefix.size()));
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(rest.c_str(), &end, 10);
-  if (end == rest.c_str() || *end != '\0' || v == 0) return false;
-  version = static_cast<unsigned>(v);
-  return true;
-}
-
-unsigned wire_version_from_env() {
-  const char* text = std::getenv(kWireEnv);
-  if (text == nullptr || text[0] == '\0')
-    return service::kWireVersionBinary;
-  const std::string value = text;
-  if (value == "binary") return service::kWireVersionBinary;
-  if (value == "text") return service::kWireVersionText;
-  const char* suggestion =
-      runtime::edit_distance(value, "text") <=
-              runtime::edit_distance(value, "binary")
-          ? "text"
-          : "binary";
-  throw std::invalid_argument(std::string(kWireEnv) + "='" + value +
-                              "': unknown wire mode; did you mean '" +
-                              suggestion + "'? (valid: text, binary)");
-}
-
 int worker_main(unsigned index, int rfd, int wfd) {
   // Trials execute serially inside a worker — parallelism is the fleet
   // width. Pinning the pool keeps the worker single-threaded (model
@@ -236,49 +197,27 @@ int worker_main(unsigned index, int rfd, int wfd) {
 
   FdTransport transport(rfd, wfd);
 
-  // Handshake: the coordinator's first frame MUST be a wire offer; the
-  // ack carries the newest version this build speaks, capped by the
-  // offer. Worker and coordinator are the same binary today, but the
-  // negotiation is the seam a multi-host fleet with version skew will
-  // lean on.
-  std::string payload;
-  if (!transport.recv(payload)) return 0;  // coordinator gone already
-  unsigned offered = 0;
-  if (!parse_handshake(payload, kOfferPrefix, offered)) {
-    std::fprintf(stderr, "fleet worker %u: malformed wire offer\n", index);
-    return 2;
-  }
-  const unsigned wire = std::min(offered, service::kWireVersionMax);
-  transport.send(kAckPrefix + std::to_string(wire));
-  if (transport.send_failed()) return 1;
-  const bool binary = wire >= service::kWireVersionBinary;
-
-  // Encode in the negotiated codec. A NaN cost makes the binary
-  // encoder throw; answer with a typed error in-band rather than dying
-  // and burning the coordinator's retry budget on a deterministic
-  // failure.
-  const auto wire_encode = [&](const service::Response& resp) {
+  // A NaN cost makes the encoder throw; answer with a typed error
+  // in-band rather than dying and burning the coordinator's retry
+  // budget on a deterministic failure.
+  const auto wire_encode = [](const service::Response& resp) {
     try {
-      return binary ? service::encode_response_binary(resp)
-                    : service::encode_response(resp);
+      return service::encode_response_binary(resp);
     } catch (const std::exception& e) {
       service::Response err_resp;
       err_resp.id = resp.id;
       err_resp.status = service::Status::Error;
       err_resp.error = e.what();
-      return binary ? service::encode_response_binary(err_resp)
-                    : service::encode_response(err_resp);
+      return service::encode_response_binary(err_resp);
     }
   };
 
+  std::string payload;
   while (transport.recv(payload)) {
     service::Request req;
     std::string err;
     service::Response resp;
-    const bool decoded =
-        binary ? service::decode_request_binary(payload, req, err)
-               : service::decode_request(payload, req, err);
-    if (!decoded) {
+    if (!service::decode_request_binary(payload, req, err)) {
       resp.status = service::Status::Error;
       resp.error = err;
       transport.send(wire_encode(resp));
@@ -293,7 +232,7 @@ int worker_main(unsigned index, int rfd, int wfd) {
           for (;;) ::pause();  // deadline-test limbo; killed by parent
         resp = req.op == service::Op::Run
                    ? run_one(req)
-                   : run_cell(req, cache.get(), wire);
+                   : run_cell(req, cache.get());
         break;
       case service::Op::Ping:
         resp.id = req.id;

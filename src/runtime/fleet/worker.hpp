@@ -7,15 +7,9 @@
 // fleet-capable main() is one maybe_run_worker(argc, argv) call before
 // any other flag parsing.
 //
-// Before any work flows the two sides shake hands (docs/SERVICE.md
-// #wire-v2): the coordinator's first frame is a wire-version OFFER
-// ("parbounds-fleet-offer wire=N"), the worker's first frame an ACK
-// with min(N, kWireVersionMax) — so the pair always converses in the
-// newest codec both speak, and a version-skewed peer (possible once
-// workers live on other hosts) degrades to the older wire instead of
-// desynchronizing. Every later frame uses the negotiated codec: v1
-// JSON text or the v2 binary codec (protocol.hpp), selected at the
-// coordinator by PARBOUNDS_FLEET_WIRE=text|binary (default binary).
+// Every frame on the pipes, from the first, is a binary-codec message
+// (protocol.hpp): worker and coordinator are one build, so there is
+// nothing to negotiate.
 //
 // The worker serves a serial loop over an FdTransport: recv one
 // request, answer it, repeat, until a shutdown op or EOF. The
@@ -59,23 +53,6 @@ inline constexpr const char* kCacheDirEnv = "PARBOUNDS_FLEET_CACHE_DIR";
 inline constexpr const char* kCacheBytesEnv = "PARBOUNDS_FLEET_CACHE_BYTES";
 inline constexpr const char* kCrashEnv = "PARBOUNDS_FLEET_CRASH";
 inline constexpr const char* kHangEnv = "PARBOUNDS_FLEET_HANG";
-/// Coordinator-side wire selection: "text" (v1 JSON) or "binary" (v2,
-/// the default). Anything else is a typed startup error.
-inline constexpr const char* kWireEnv = "PARBOUNDS_FLEET_WIRE";
-
-/// Handshake frames (always plain text, version-independent).
-inline constexpr const char* kOfferPrefix = "parbounds-fleet-offer wire=";
-inline constexpr const char* kAckPrefix = "parbounds-fleet-ack wire=";
-
-/// Parse "<prefix><u64>" exactly; false on any other shape.
-bool parse_handshake(std::string_view payload, std::string_view prefix,
-                     unsigned& version);
-
-/// Resolve PARBOUNDS_FLEET_WIRE: unset/"binary" -> kWireVersionBinary,
-/// "text" -> kWireVersionText. Throws std::invalid_argument with a
-/// did-you-mean hint on any other value.
-unsigned wire_version_from_env();
-
 /// Serve fleet requests on (rfd, wfd) until shutdown or EOF. Returns
 /// the process exit code (0 = clean shutdown/EOF).
 int worker_main(unsigned index, int rfd, int wfd);

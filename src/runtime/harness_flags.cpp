@@ -1,6 +1,8 @@
 #include "runtime/harness_flags.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -129,10 +131,68 @@ void set_fleet_window(const char* text, HarnessFlags& out) {
 
 }  // namespace
 
+const char* harness_usage() {
+  return "harness flags:\n"
+         "  --jobs N           worker threads (0 = hardware concurrency)\n"
+         "  --threads N        intra-trial pool size (default: --jobs)\n"
+         "  --json [PATH]      parbounds-bench-v1 report "
+         "(default BENCH_<name>.json)\n"
+         "  --trace [PATH]     Chrome trace-event span export "
+         "(default TRACE_<name>.json)\n"
+         "  --via-service      route sweeps through an in-process sweep "
+         "service\n"
+         "  --cache-dir P      service / shared fleet cell cache directory\n"
+         "  --cache-bytes N    cache size bound in bytes\n"
+         "  --workers N        run sweeps across N fleet worker processes\n"
+         "  --fleet-window K   per-worker credit window under --workers "
+         "(default 8)\n"
+         "  --help             print this help and exit\n";
+}
+
+std::string parse_gate_flags(int& argc, char** argv,
+                             std::initializer_list<GateFlag> gates) {
+  int w = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const GateFlag* gate = nullptr;
+    for (const GateFlag& g : gates)
+      if (arg.compare(0, eq, g.name) == 0) gate = &g;
+    if (gate == nullptr) {
+      argv[w++] = argv[i];
+      continue;
+    }
+    if (eq == std::string::npos) {
+      argc = w;
+      return std::string(gate->name) + " requires a value (" + gate->name +
+             "=X)";
+    }
+    const std::string text = arg.substr(eq + 1);
+    double v = 0.0;
+    const auto res =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (text.empty() || res.ec != std::errc() ||
+        res.ptr != text.data() + text.size() || !std::isfinite(v) ||
+        v < 0.0) {
+      argc = w;
+      return std::string(gate->name) + "=" + text +
+             ": gate value must be a finite, non-negative number";
+    }
+    *gate->value = v;
+  }
+  argc = w;
+  return "";
+}
+
 HarnessFlags parse_harness_flags(int& argc, char** argv,
                                  const std::string& default_json_path,
                                  const std::string& default_trace_path) {
   HarnessFlags out;
+  for (int i = 1; i < argc; ++i)
+    if (std::string(argv[i]) == "--help") {
+      out.help = true;
+      return out;
+    }
   int w = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

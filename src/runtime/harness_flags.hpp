@@ -29,6 +29,9 @@
 //                   up to K cells in flight (default 8; 1 = lock-step).
 //                   K must be >= 1, and the flag only means something
 //                   with --workers — either misuse is a typed error.
+//   --help          print harness_usage() (the bench then adds
+//                   google-benchmark's usage) and exit 0 before any
+//                   sweep runs; --help wins over every other flag.
 //
 // Recognized flags are stripped from argv (google-benchmark parses the
 // rest). A bare --json/--trace followed by another `--flag` takes the
@@ -45,8 +48,13 @@
 // either — or exactly `--window` — is rejected rather than passed
 // through, because a silently dropped fleet flag would run the whole
 // sweep in-process (or lock-step) and look like it worked.
+//
+// Benches with a measured floor or ceiling (bench_hotpath,
+// bench_obs_overhead, bench_fleet_throughput) also take `--NAME=X` gate
+// values; parse_gate_flags reads them strictly.
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 namespace parbounds::runtime {
@@ -62,6 +70,7 @@ struct HarnessFlags {
   std::uint64_t cache_bytes = 0;  ///< service cache bound; 0 = default
   unsigned workers = 0;     ///< fleet worker processes; 0 = fleet off
   unsigned fleet_window = 0; ///< per-worker credit window; 0 = default (8)
+  bool help = false;        ///< --help: print usage, run nothing
   bool error = false;
   std::string error_message;
 
@@ -78,6 +87,24 @@ struct HarnessFlags {
 HarnessFlags parse_harness_flags(int& argc, char** argv,
                                  const std::string& default_json_path,
                                  const std::string& default_trace_path);
+
+/// The harness flag block printed by --help.
+const char* harness_usage();
+
+/// A measured gate a bench takes as `--NAME=X`: a floor (--min-...) or
+/// a ceiling (--max-...) on a ratio.
+struct GateFlag {
+  const char* name = nullptr;  ///< with the dashes, e.g. "--max-overhead"
+  double* value = nullptr;     ///< holds the default; overwritten if given
+};
+
+/// Parse and strip the listed `--NAME=X` gates from argv. X must be a
+/// finite, non-negative decimal with nothing after it; a bare --NAME
+/// is an error too. Returns an empty string on success, else a message
+/// naming the flag and the value (argv is then partially compacted;
+/// callers should exit 2).
+std::string parse_gate_flags(int& argc, char** argv,
+                             std::initializer_list<GateFlag> gates);
 
 /// Plain Levenshtein distance — small strings, tiny table. Shared by
 /// every did-you-mean rejection (the --via-/--cache- namespaces here,

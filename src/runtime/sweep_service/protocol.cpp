@@ -247,9 +247,12 @@ const char* status_name(Status s) {
 }
 
 std::string encode_request(const Request& req) {
+  if (req.op == Op::Cell)
+    throw std::invalid_argument(
+        "encode_request: the cell op travels only on the binary wire");
   std::string out = "{\"id\":" + std::to_string(req.id) + ",\"op\":\"" +
                     op_name(req.op) + "\"";
-  if (req.op == Op::Run || req.op == Op::Cell) {
+  if (req.op == Op::Run) {
     out += ",\"engine\":\"" + runtime::json_escape(req.spec.engine) + "\"";
     out +=
         ",\"workload\":\"" + runtime::json_escape(req.spec.workload) + "\"";
@@ -265,16 +268,15 @@ std::string encode_request(const Request& req) {
       out += "}";
     }
     out += ",\"seed\":" + std::to_string(req.seed);
-    if (req.op == Op::Cell) {
-      out += ",\"trial0\":" + std::to_string(req.trial0);
-      out += ",\"trials\":" + std::to_string(req.trials);
-    }
   }
   out += "}";
   return out;
 }
 
 std::string encode_response(const Response& resp) {
+  if (!resp.costs.empty() || !resp.telemetry.empty())
+    throw std::invalid_argument(
+        "encode_response: cell results travel only on the binary wire");
   std::string out = "{\"id\":" + std::to_string(resp.id) + ",\"status\":\"" +
                     status_name(resp.status) + "\"";
   if (resp.has_cost) {
@@ -282,20 +284,6 @@ std::string encode_response(const Response& resp) {
     out += resp.cached ? "true" : "false";
     out += ",\"cost\":" + num(resp.cost);
   }
-  if (!resp.costs.empty()) {
-    if (!resp.has_cost) {
-      out += ",\"cached\":";
-      out += resp.cached ? "true" : "false";
-    }
-    out += ",\"costs\":[";
-    for (std::size_t i = 0; i < resp.costs.size(); ++i) {
-      if (i > 0) out += ',';
-      out += num(resp.costs[i]);
-    }
-    out += "]";
-  }
-  if (!resp.telemetry.empty())
-    out += ",\"telemetry\":\"" + runtime::json_escape(resp.telemetry) + "\"";
   if (!resp.stats_json.empty()) out += ",\"stats\":" + resp.stats_json;
   if (resp.status == Status::Error)
     out += ",\"error\":\"" + runtime::json_escape(resp.error) + "\"";
@@ -308,8 +296,7 @@ bool decode_request(std::string_view payload, Request& out,
   Cursor c{payload, 0, {}};
   out = Request{};
   bool saw_id = false, saw_op = false, saw_engine = false,
-       saw_workload = false, saw_params = false, saw_seed = false,
-       saw_trial0 = false, saw_trials = false;
+       saw_workload = false, saw_params = false, saw_seed = false;
   std::string op_text;
 
   bool ok = c.expect('{');
@@ -333,10 +320,6 @@ bool decode_request(std::string_view payload, Request& out,
         ok = mark_seen(c, saw_params, key) && parse_params(c, out.spec);
       } else if (key == "seed") {
         ok = mark_seen(c, saw_seed, key) && c.u64_value(out.seed);
-      } else if (key == "trial0") {
-        ok = mark_seen(c, saw_trial0, key) && c.u64_value(out.trial0);
-      } else if (key == "trials") {
-        ok = mark_seen(c, saw_trials, key) && c.u64_value(out.trials);
       } else {
         ok = c.fail("unknown request key '" + key + "'");
       }
@@ -354,27 +337,17 @@ bool decode_request(std::string_view payload, Request& out,
   if (ok && !saw_op) ok = c.fail("missing required key 'op'");
   if (ok) {
     if (op_text == "run") out.op = Op::Run;
-    else if (op_text == "cell") out.op = Op::Cell;
     else if (op_text == "stats") out.op = Op::Stats;
     else if (op_text == "ping") out.op = Op::Ping;
     else if (op_text == "shutdown") out.op = Op::Shutdown;
     else ok = c.fail("unknown op '" + op_text + "'");
   }
-  if (ok && (out.op == Op::Run || out.op == Op::Cell)) {
-    const std::string what = op_name(out.op);
-    if (!saw_engine) ok = c.fail(what + " request missing 'engine'");
-    else if (!saw_workload) ok = c.fail(what + " request missing 'workload'");
-    else if (!saw_seed) ok = c.fail(what + " request missing 'seed'");
+  if (ok && out.op == Op::Run) {
+    if (!saw_engine) ok = c.fail("run request missing 'engine'");
+    else if (!saw_workload) ok = c.fail("run request missing 'workload'");
+    else if (!saw_seed) ok = c.fail("run request missing 'seed'");
   }
-  if (ok && out.op == Op::Cell) {
-    if (!saw_trial0) ok = c.fail("cell request missing 'trial0'");
-    else if (!saw_trials) ok = c.fail("cell request missing 'trials'");
-    else if (out.trials == 0) ok = c.fail("cell request needs trials >= 1");
-  }
-  if (ok && out.op != Op::Cell && (saw_trial0 || saw_trials))
-    ok = c.fail(std::string("op '") + op_name(out.op) +
-                "' takes no cell fields");
-  if (ok && out.op != Op::Run && out.op != Op::Cell &&
+  if (ok && out.op != Op::Run &&
       (saw_engine || saw_workload || saw_params || saw_seed))
     ok = c.fail(std::string("op '") + op_name(out.op) +
                 "' takes no run fields");
@@ -386,8 +359,7 @@ bool decode_response(std::string_view payload, Response& out,
   Cursor c{payload, 0, {}};
   out = Response{};
   bool saw_id = false, saw_status = false, saw_cached = false,
-       saw_cost = false, saw_costs = false, saw_telemetry = false,
-       saw_stats = false, saw_error = false;
+       saw_cost = false, saw_stats = false, saw_error = false;
   std::string status_text;
 
   bool ok = c.expect('{');
@@ -407,23 +379,6 @@ bool decode_response(std::string_view payload, Response& out,
       } else if (key == "cost") {
         ok = mark_seen(c, saw_cost, key) && c.double_value(out.cost);
         out.has_cost = ok;
-      } else if (key == "costs") {
-        ok = mark_seen(c, saw_costs, key) && c.expect('[');
-        while (ok) {
-          double v = 0.0;
-          ok = c.double_value(v);
-          if (!ok) break;
-          out.costs.push_back(v);
-          if (c.peek_is(',')) {
-            ++c.pos;
-            continue;
-          }
-          ok = c.expect(']');
-          break;
-        }
-      } else if (key == "telemetry") {
-        ok = mark_seen(c, saw_telemetry, key) &&
-             c.string_value(out.telemetry);
       } else if (key == "stats") {
         ok = mark_seen(c, saw_stats, key) && c.raw_value(out.stats_json);
         if (ok && (out.stats_json.empty() || out.stats_json[0] != '{'))
@@ -451,18 +406,14 @@ bool decode_response(std::string_view payload, Response& out,
     else if (status_text == "error") out.status = Status::Error;
     else ok = c.fail("unknown status '" + status_text + "'");
   }
-  if (ok && saw_cached && !saw_cost && !saw_costs)
-    ok = c.fail("'cached' without 'cost' or 'costs'");
-  if (ok && saw_cost && saw_costs)
-    ok = c.fail("'cost' and 'costs' are mutually exclusive");
-  if (ok && saw_telemetry && !saw_costs)
-    ok = c.fail("'telemetry' without 'costs'");
+  if (ok && saw_cached && !saw_cost)
+    ok = c.fail("'cached' without 'cost'");
   if (ok && out.status == Status::Error && !saw_error)
     ok = c.fail("error response missing 'error'");
   return finish(c, err, ok);
 }
 
-// ----- binary codec (wire v2) -----------------------------------------------
+// ----- binary codec (the fleet data plane) ---------------------------------
 
 namespace {
 
@@ -591,9 +542,8 @@ std::string encode_request_binary(const Request& req) {
 }
 
 void encode_response_binary(const Response& resp, std::string& out) {
-  // Mirror the JSON encoder's field discipline exactly: `cached` rides
-  // only with a cost payload, so a struct the text codec cannot
-  // round-trip is not representable here either.
+  // The JSON encoder's field discipline: `cached` rides only with a
+  // cost payload (a run's cost or a cell's costs).
   if (resp.has_cost && std::isnan(resp.cost))
     throw std::invalid_argument("encode_response_binary: NaN cost");
   for (const double c : resp.costs)
@@ -685,7 +635,8 @@ bool decode_response_binary(std::string_view payload, Response& out,
   if (ok && (flags & ~(kRespCached | kRespHasCost | kRespHasCosts |
                        kRespHasTelemetry | kRespHasStats | kRespHasError)))
     ok = r.fail("unknown response flag bits");
-  // The same invalid field combinations the JSON decoder refuses.
+  // Invalid field combinations: the JSON decoder's rules, plus the
+  // cell-response ones.
   if (ok && (flags & kRespCached) &&
       !(flags & (kRespHasCost | kRespHasCosts)))
     ok = r.fail("'cached' without 'cost' or 'costs'");

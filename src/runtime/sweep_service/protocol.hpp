@@ -1,38 +1,41 @@
 #pragma once
 // Wire protocol of the sweep service (docs/SERVICE.md).
 //
-// One message = one JSON object on a single line. Two transports carry
-// the same payloads: JSONL over stdio (one message per '\n'-terminated
-// line) and a length-prefixed framing for the Unix-socket daemon
-// (4-byte little-endian payload length, then the payload bytes). The
-// codec is deliberately strict — unknown keys, duplicate keys, missing
-// required fields, wrong types and trailing bytes are all typed decode
-// errors, never best-effort guesses — because a cache keyed by request
-// content cannot afford two spellings of the same request.
+// Two codecs share one Request/Response model:
 //
-// Requests:
+// * JSON, the daemon edge (`parbounds_serve --stdio`/socket): one
+//   message = one JSON object on a single line. Two transports carry
+//   the same payloads: JSONL over stdio (one message per
+//   '\n'-terminated line) and a length-prefixed framing for the
+//   Unix-socket daemon (4-byte little-endian payload length, then the
+//   payload bytes). The codec is deliberately strict — unknown keys,
+//   duplicate keys, missing required fields, wrong types and trailing
+//   bytes are all typed decode errors, never best-effort guesses —
+//   because a cache keyed by request content cannot afford two
+//   spellings of the same request.
+// * binary, the fleet data plane (below): the same ops plus `cell`,
+//   the fleet's unit of work, which has no JSON form.
+//
+// JSON requests:
 //   {"id":N,"op":"run","engine":E,"workload":W,"params":{k:v,...},"seed":S}
-//   {"id":N,"op":"cell","engine":E,"workload":W,"params":{...},"seed":B,
-//    "trial0":T,"trials":R}
 //   {"id":N,"op":"stats"}   {"id":N,"op":"ping"}   {"id":N,"op":"shutdown"}
-// Responses:
+// JSON responses:
 //   {"id":N,"status":"ok","cached":B,"cost":C}       completed run
-//   {"id":N,"status":"ok","cached":B,"costs":[...],
-//    "telemetry":"..."}                              completed cell
 //   {"id":N,"status":"ok","stats":{...}}             stats snapshot
 //   {"id":N,"status":"ok"}                           ping/shutdown ack
 //   {"id":N,"status":"retry"}                        admission queue full
 //   {"id":N,"status":"error","error":"..."}          typed failure
 //
 // "run" executes ONE trial: `seed` is the derived per-trial seed. "cell"
-// is the fleet's unit of work (docs/SERVICE.md): R whole repetitions of
+// (binary wire only, docs/SERVICE.md#fleet) is R whole repetitions of
 // one sweep cell, where `seed` is the sweep's BASE seed and repetition r
 // runs with derive_seed(seed, trial0 + r) — the same derivation an
 // in-process sweep applies, so a cell answered by any worker carries
 // exactly the trial costs the local runner would have produced. A cell
-// response also carries the worker's per-cell MetricsSnapshot in
-// snapshot-wire form (src/runtime/fleet/snapshot_wire.hpp) so the
-// coordinator can reassemble the report's metrics block.
+// response carries the per-repetition costs and the worker's per-cell
+// MetricsSnapshot in snapshot-wire form
+// (src/runtime/fleet/snapshot_wire.hpp) so the coordinator can
+// reassemble the report's metrics block.
 //
 // The cache key of a run/cell request is sha256_hex(canonical_request()):
 // a fixed code-version tag, engine, workload, the params sorted by
@@ -84,8 +87,10 @@ struct Response {
   std::string error;         ///< status == Error: human-readable cause
 };
 
-// ----- JSON codec (wire v1) -------------------------------------------------
+// ----- JSON codec (the daemon edge) -----------------------------------------
 
+/// Throw std::invalid_argument on what JSON cannot carry: a cell
+/// request, or a response with cell costs or telemetry.
 std::string encode_request(const Request& req);
 std::string encode_response(const Response& resp);
 
@@ -95,25 +100,20 @@ bool decode_request(std::string_view payload, Request& out, std::string& err);
 bool decode_response(std::string_view payload, Response& out,
                      std::string& err);
 
-// ----- binary codec (wire v2) -----------------------------------------------
+// ----- binary codec (the fleet data plane) ---------------------------------
 //
-// The fleet's fast path (docs/SERVICE.md#wire-v2): length-delimited
-// binary messages negotiated per worker at handshake time. Strings and
-// small integers are varint-prefixed (LEB128); seeds, metric values and
-// costs are fixed-width little-endian so u64 and double payloads round
-// trip BIT-EXACT — no %.17g text detour. A leading magic byte (0xF2
+// The only codec on the fleet's pipes (docs/SERVICE.md#wire-v2):
+// length-delimited binary messages. Strings and small integers are
+// varint-prefixed (LEB128); seeds, metric values and costs are
+// fixed-width little-endian so u64 and double payloads round trip
+// BIT-EXACT — no %.17g text detour. A leading magic byte (0xF2
 // requests, 0xF3 responses) can never collide with the '{' that opens
-// every v1 JSON message, so a codec mismatch is a typed decode error,
-// not a misparse. The decoders are as strict as the JSON ones:
-// truncation, trailing bytes, unknown ops/statuses, invalid field
-// combinations and NaN cost payloads (cost models never produce NaN;
-// on this wire a NaN is corruption) all fail typed, never crash —
-// test_sweep_service fuzzes them byte-at-a-time.
-
-inline constexpr unsigned kWireVersionText = 1;
-inline constexpr unsigned kWireVersionBinary = 2;
-/// Highest wire version this build speaks; offered at handshake.
-inline constexpr unsigned kWireVersionMax = kWireVersionBinary;
+// every JSON message, so a codec mismatch is a typed decode error, not
+// a misparse. The decoders are as strict as the JSON ones: truncation,
+// trailing bytes, unknown ops/statuses, invalid field combinations and
+// NaN cost payloads (cost models never produce NaN; on this wire a NaN
+// is corruption) all fail typed, never crash — test_sweep_service
+// fuzzes them byte-at-a-time.
 
 inline constexpr char kBinaryRequestMagic = static_cast<char>(0xF2);
 inline constexpr char kBinaryResponseMagic = static_cast<char>(0xF3);

@@ -128,8 +128,8 @@ void SweepService::handle_batch(std::vector<Pending> batch) {
         stats_waiting.push_back(i);
         continue;
       case Op::Cell:
-        // Cells are the fleet workers' op (fleet/worker.hpp); the
-        // daemon's unit of exchange stays the single run.
+        // Cells are the fleet workers' op (fleet/worker.hpp) and have
+        // no JSON form; the daemon's unit of exchange is the single run.
         resp.status = Status::Error;
         resp.error = "cell op is served by fleet workers, not the daemon";
         break;

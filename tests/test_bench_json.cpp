@@ -839,5 +839,62 @@ TEST(HarnessFlags, ServiceNamespaceTyposGetADidYouMeanHint) {
   }
 }
 
+TEST(HarnessFlags, HelpWinsOverEveryOtherFlag) {
+  // --help must stop a bench before any sweep runs, even next to flags
+  // that would otherwise be errors (here --workers 0).
+  Argv argv({"bench", "--jobs", "2", "--workers", "0", "--help"});
+  const auto f = argv.parse();
+  EXPECT_TRUE(f.help);
+  EXPECT_FALSE(f.error) << f.error_message;
+  const std::string usage = harness_usage();
+  for (const char* flag : {"--jobs", "--threads", "--json", "--trace",
+                           "--via-service", "--cache-dir", "--cache-bytes",
+                           "--workers", "--fleet-window", "--help"})
+    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  Argv plain({"bench", "--jobs", "2"});
+  EXPECT_FALSE(plain.parse().help);
+}
+
+TEST(HarnessFlags, GateValuesParseStrictlyAndStrip) {
+  double floor = 1.0;
+  double ceiling = 1.05;
+  Argv argv({"bench", "--min-x-speedup=1.5", "--benchmark_filter=Y",
+             "--max-overhead=0", "--jobs", "2"});
+  const std::string err = parse_gate_flags(
+      argv.argc, argv.ptrs.data(),
+      {{"--min-x-speedup", &floor}, {"--max-overhead", &ceiling}});
+  EXPECT_EQ(err, "");
+  EXPECT_EQ(floor, 1.5);
+  EXPECT_EQ(ceiling, 0.0);
+  EXPECT_EQ(argv.remaining(),
+            (std::vector<std::string>{"bench", "--benchmark_filter=Y",
+                                      "--jobs", "2"}));
+  // An absent gate keeps its default.
+  double untouched = 2.5;
+  Argv none({"bench", "--jobs", "2"});
+  EXPECT_EQ(parse_gate_flags(none.argc, none.ptrs.data(),
+                             {{"--min-x-speedup", &untouched}}),
+            "");
+  EXPECT_EQ(untouched, 2.5);
+}
+
+TEST(HarnessFlags, MalformedGateValuesAreTypedErrors) {
+  // Garbage, trailing characters, NaN, infinities, negatives, an empty
+  // value and a bare flag are all named errors, never an abort and
+  // never a silently truncated number.
+  for (const char* arg :
+       {"--min-x-speedup=abc", "--min-x-speedup=1.5x", "--min-x-speedup=nan",
+        "--min-x-speedup=inf", "--min-x-speedup=-1", "--min-x-speedup=",
+        "--min-x-speedup= 1.5", "--min-x-speedup"}) {
+    double floor = 1.0;
+    Argv argv({"bench", arg});
+    const std::string err = parse_gate_flags(
+        argv.argc, argv.ptrs.data(), {{"--min-x-speedup", &floor}});
+    EXPECT_NE(err.find("--min-x-speedup"), std::string::npos)
+        << arg << " -> '" << err << "'";
+    EXPECT_EQ(floor, 1.0) << arg;
+  }
+}
+
 }  // namespace
 }  // namespace parbounds::runtime

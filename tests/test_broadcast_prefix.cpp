@@ -70,15 +70,20 @@ TEST(BspBroadcast, SuperstepsCostL) {
 
 // ----- prefix sums -----------------------------------------------------------
 
+// gtest names a parameterized case by the raw bytes of its parameter, so
+// the struct spells out its padding as a zero member: uninitialised padding
+// would put stack garbage in the case name and change it on every run.
 struct PrefixCase {
   std::uint64_t n;
   unsigned fanin;
+  unsigned zero_pad = 0;
 };
 
 class PrefixSweep : public ::testing::TestWithParam<PrefixCase> {};
 
 TEST_P(PrefixSweep, MatchesExclusiveScan) {
-  const auto [n, fanin] = GetParam();
+  const std::uint64_t n = GetParam().n;
+  const unsigned fanin = GetParam().fanin;
   QsmMachine m({.g = 2});
   Rng rng(n * 3 + fanin);
   std::vector<Word> input(n);

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -166,6 +169,21 @@ TEST(SnapshotWire, RoundTripsExactly) {
   EXPECT_EQ(back.to_json(), snap.to_json());
   // Re-encoding is byte-stable (registration order is preserved).
   EXPECT_EQ(fleet::encode_snapshot(back), wire);
+
+  // Metric values span the full u64 range (byte counters, seeds); the
+  // decimal form carries the extremes exactly.
+  obs::MetricsRegistry reg;
+  const auto c = reg.counter("fleet.test.max");
+  const auto g = reg.gauge("fleet.test.high");
+  const auto h = reg.histogram("fleet.test.dist", {1, 8, 64});
+  reg.add(c, ~std::uint64_t{0});
+  reg.record_max(g, ~std::uint64_t{0});
+  reg.observe(h, ~std::uint64_t{0});
+  const obs::MetricsSnapshot extremes = reg.snapshot();
+  ASSERT_TRUE(fleet::decode_snapshot(fleet::encode_snapshot(extremes), back,
+                                     err))
+      << err;
+  EXPECT_EQ(back.to_json(), extremes.to_json());
 }
 
 TEST(SnapshotWire, RejectsMalformedRecords) {
@@ -409,155 +427,33 @@ TEST(FleetEndToEnd, CoordinatorSurvivesMultipleSweeps) {
   EXPECT_EQ(fc.counter("fleet.worker.spawn"), 2u);  // spawned once
 }
 
-// ----- wire v2: binary snapshot form ------------------------------------
-
-TEST(SnapshotWire, BinaryRoundTripsExactlyIncludingU64Max) {
-  // Metric values span the full u64 range (seeds, byte counters); the
-  // binary form carries them fixed-width and must round-trip the
-  // extremes the decimal text form also handles.
-  obs::MetricsRegistry reg;
-  const auto c = reg.counter("fleet.test.max");
-  const auto g = reg.gauge("fleet.test.high");
-  const auto h = reg.histogram("fleet.test.dist", {1, 8, 64});
-  reg.add(c, ~std::uint64_t{0});
-  reg.record_max(g, ~std::uint64_t{0});
-  reg.observe(h, ~std::uint64_t{0});
-  const obs::MetricsSnapshot snap = reg.snapshot();
-
-  const std::string wire = fleet::encode_snapshot_binary(snap);
-  ASSERT_FALSE(wire.empty());
-  EXPECT_EQ(wire[0], fleet::kSnapshotBinaryMagic);
-  obs::MetricsSnapshot back;
-  std::string err;
-  ASSERT_TRUE(fleet::decode_snapshot(wire, back, err)) << err;  // sniffed
-  EXPECT_EQ(back.to_json(), snap.to_json());
-  EXPECT_EQ(fleet::encode_snapshot_binary(back), wire);  // byte-stable
-}
-
-TEST(SnapshotWire, TextAndBinaryDecodeToTheSameSnapshot) {
-  // decode_snapshot dispatches on the first byte ('\x01' binary, a
-  // kind letter for text), which is what lets cache-hit cells answer
-  // with text telemetry on a binary connection and still merge.
-  const obs::MetricsSnapshot snap = sample_snapshot();
-  obs::MetricsSnapshot via_text, via_binary;
-  std::string err;
-  ASSERT_TRUE(fleet::decode_snapshot(fleet::encode_snapshot(snap), via_text,
-                                     err))
-      << err;
-  ASSERT_TRUE(fleet::decode_snapshot(fleet::encode_snapshot_binary(snap),
-                                     via_binary, err))
-      << err;
-  EXPECT_EQ(via_text.to_json(), via_binary.to_json());
-}
-
-TEST(SnapshotWire, BinaryRejectsMalformedRecords) {
-  const std::string wire = fleet::encode_snapshot_binary(sample_snapshot());
-  obs::MetricsSnapshot out;
-  std::string err;
-  // Every strict prefix past the magic is a truncation error.
-  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
-    err.clear();
-    EXPECT_FALSE(fleet::decode_snapshot(wire.substr(0, cut), out, err))
-        << "accepted truncated binary snapshot at " << cut;
-    EXPECT_FALSE(err.empty());
-  }
-  // Trailing bytes, unknown kind bytes and empty names are typed too.
-  EXPECT_FALSE(fleet::decode_snapshot(wire + "x", out, err));
-  std::string bad_kind(wire);
-  bad_kind[2] = '\x07';  // count varint is 1 byte; first kind follows
-  EXPECT_FALSE(fleet::decode_snapshot(bad_kind, out, err));
-  // An empty snapshot is one byte of magic + a zero count, and valid.
-  obs::MetricsRegistry empty_reg;
-  EXPECT_TRUE(fleet::decode_snapshot(
-      fleet::encode_snapshot_binary(empty_reg.snapshot()), out, err))
-      << err;
-}
-
-// ----- wire v2: handshake + env knob ------------------------------------
-
-TEST(FleetWire, HandshakeLinesParseStrictly) {
-  unsigned v = 0;
-  EXPECT_TRUE(fleet::parse_handshake("parbounds-fleet-offer wire=2",
-                                     fleet::kOfferPrefix, v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_TRUE(
-      fleet::parse_handshake("parbounds-fleet-ack wire=1", fleet::kAckPrefix, v));
-  EXPECT_EQ(v, 1u);
-  EXPECT_FALSE(fleet::parse_handshake("parbounds-fleet-offer wire=0",
-                                      fleet::kOfferPrefix, v));
-  EXPECT_FALSE(fleet::parse_handshake("parbounds-fleet-offer wire=x",
-                                      fleet::kOfferPrefix, v));
-  EXPECT_FALSE(fleet::parse_handshake("parbounds-fleet-offer wire=2 extra",
-                                      fleet::kOfferPrefix, v));
-  EXPECT_FALSE(
-      fleet::parse_handshake("something else", fleet::kOfferPrefix, v));
-}
-
-TEST(FleetWire, EnvKnobParsesAndRejectsWithHint) {
-  ::unsetenv(fleet::kWireEnv);
-  EXPECT_EQ(fleet::wire_version_from_env(), service::kWireVersionBinary);
-  ::setenv(fleet::kWireEnv, "text", 1);
-  EXPECT_EQ(fleet::wire_version_from_env(), service::kWireVersionText);
-  ::setenv(fleet::kWireEnv, "binary", 1);
-  EXPECT_EQ(fleet::wire_version_from_env(), service::kWireVersionBinary);
-  ::setenv(fleet::kWireEnv, "binry", 1);
-  try {
-    (void)fleet::wire_version_from_env();
-    FAIL() << "unknown wire mode was accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("binry"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("did you mean 'binary'"), std::string::npos) << msg;
-  }
-  ::unsetenv(fleet::kWireEnv);
-}
-
-// ----- wire v2 + credit windows: end-to-end byte identity ----------------
+// ----- credit windows: end-to-end byte identity --------------------------
 
 TEST(FleetEndToEnd, EveryWireWorkersWindowComboReproducesTheBytes) {
+  // The binary wire is the fleet's only data plane; every workers x
+  // window combination must reproduce the in-process bytes on it.
   const std::string reference = in_process_reference(many_cells());
-  for (const unsigned wire :
-       {service::kWireVersionText, service::kWireVersionBinary}) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      for (const unsigned window : {1u, 8u}) {
-        FleetConfig cfg;
-        cfg.workers = workers;
-        cfg.window = window;
-        cfg.wire = wire;
-        FleetCoordinator fc(cfg);
-        EXPECT_EQ(fleet_report(fc, many_cells()), reference)
-            << "diverged at wire=" << wire << " workers=" << workers
-            << " window=" << window;
-        // The data plane actually moved frames, and the high-water
-        // in-flight depth respected (and under load reached) the window.
-        EXPECT_GT(fc.counter("fleet.bytes_tx"), 0u);
-        EXPECT_GT(fc.counter("fleet.bytes_rx"), 0u);
-        EXPECT_GT(fc.counter("fleet.frames_tx"), 0u);
-        EXPECT_GT(fc.counter("fleet.frames_rx"), 0u);
-        // 24 cells split evenly, so a worker can hold at most its
-        // share of the sweep in flight.
-        EXPECT_EQ(fc.counter("fleet.window.depth"),
-                  std::min<std::uint64_t>(window, 24 / workers));
-        EXPECT_EQ(fc.counter("fleet.worker.retry"), 0u);
-      }
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    for (const unsigned window : {1u, 8u}) {
+      FleetConfig cfg;
+      cfg.workers = workers;
+      cfg.window = window;
+      FleetCoordinator fc(cfg);
+      EXPECT_EQ(fleet_report(fc, many_cells()), reference)
+          << "diverged at workers=" << workers << " window=" << window;
+      // The data plane actually moved frames, and the high-water
+      // in-flight depth respected (and under load reached) the window.
+      EXPECT_GT(fc.counter("fleet.bytes_tx"), 0u);
+      EXPECT_GT(fc.counter("fleet.bytes_rx"), 0u);
+      EXPECT_GT(fc.counter("fleet.frames_tx"), 0u);
+      EXPECT_GT(fc.counter("fleet.frames_rx"), 0u);
+      // 24 cells split evenly, so a worker can hold at most its share
+      // of the sweep in flight.
+      EXPECT_EQ(fc.counter("fleet.window.depth"),
+                std::min<std::uint64_t>(window, 24 / workers));
+      EXPECT_EQ(fc.counter("fleet.worker.retry"), 0u);
     }
   }
-}
-
-TEST(FleetEndToEnd, BinaryWireMovesFewerBytesThanText) {
-  // The reason v2 exists: same cells, same report bytes, smaller wire.
-  std::uint64_t bytes[3] = {};
-  for (const unsigned wire :
-       {service::kWireVersionText, service::kWireVersionBinary}) {
-    FleetConfig cfg;
-    cfg.workers = 2;
-    cfg.wire = wire;
-    FleetCoordinator fc(cfg);
-    (void)fleet_report(fc, many_cells());
-    bytes[wire] = fc.counter("fleet.bytes_tx") + fc.counter("fleet.bytes_rx");
-  }
-  EXPECT_LT(bytes[service::kWireVersionBinary],
-            bytes[service::kWireVersionText]);
 }
 
 TEST(FleetEndToEnd, CrashMidWindowRequeuesEveryInflightCell) {
@@ -616,22 +512,39 @@ TEST(FleetEndToEnd, WindowMustBePositive) {
 }
 
 TEST(FleetEndToEnd, CrashMidWindowOnTheBinaryWireToo) {
-  // The requeue path re-encodes on whatever wire the surviving workers
-  // negotiated; run the crash drill once per codec.
+  // The requeue path re-encodes the dead worker's window into binary
+  // frames for the survivors. With three workers the stranded cells
+  // spread over two survivors, each of which already has a window of
+  // its own in flight.
   const std::string reference = in_process_reference(many_cells());
-  for (const unsigned wire :
-       {service::kWireVersionText, service::kWireVersionBinary}) {
-    ::setenv("PARBOUNDS_FLEET_CRASH", "1:2", 1);
+  ::setenv("PARBOUNDS_FLEET_CRASH", "1:2", 1);
+  FleetConfig cfg;
+  cfg.workers = 3;
+  cfg.window = 4;
+  FleetCoordinator fc(cfg);
+  const std::string report = fleet_report(fc, many_cells());
+  ::unsetenv("PARBOUNDS_FLEET_CRASH");
+  EXPECT_EQ(report, reference);
+  EXPECT_EQ(fc.counter("fleet.worker.exit"), 1u);
+  EXPECT_GE(fc.counter("fleet.worker.retry"), 2u);
+}
+
+TEST(FleetEndToEnd, TeardownWithoutWorkReapsEveryWorker) {
+  // Spawning only forks, so a coordinator built and destroyed with no
+  // run_requests call may tear down workers that have not exec'd yet
+  // (the daemon set-up/teardown pattern). Closing their request pipes
+  // must still end every one of them: the destructor returns only
+  // after reaping, and a worker it missed would hang this test.
+  for (int round = 0; round < 5; ++round) {
     FleetConfig cfg;
-    cfg.workers = 2;
-    cfg.window = 8;
-    cfg.wire = wire;
+    cfg.workers = 3;
     FleetCoordinator fc(cfg);
-    const std::string report = fleet_report(fc, many_cells());
-    ::unsetenv("PARBOUNDS_FLEET_CRASH");
-    EXPECT_EQ(report, reference) << "diverged on wire=" << wire;
-    EXPECT_EQ(fc.counter("fleet.worker.exit"), 1u);
+    EXPECT_EQ(fc.counter("fleet.worker.spawn"), 3u);
   }
+  // No child of this process outlives its coordinator.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 }  // namespace

@@ -9,16 +9,22 @@
 namespace parbounds {
 namespace {
 
+// gtest names a parameterized case by the raw bytes of its parameter, so
+// the struct spells out its padding as zero members: uninitialised padding
+// would put stack garbage in the case name and change it on every run.
 struct ReduceCase {
   std::uint64_t n;
   unsigned fanin;
   Combine op;
+  std::uint8_t zero_pad[3] = {};
 };
 
 class ReduceTree : public ::testing::TestWithParam<ReduceCase> {};
 
 TEST_P(ReduceTree, MatchesSequentialFold) {
-  const auto [n, fanin, op] = GetParam();
+  const std::uint64_t n = GetParam().n;
+  const unsigned fanin = GetParam().fanin;
+  const Combine op = GetParam().op;
   QsmMachine m({.g = 2});
   Rng rng(n * 31 + fanin);
   std::vector<Word> input(n);

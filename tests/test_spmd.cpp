@@ -9,16 +9,22 @@
 namespace parbounds {
 namespace {
 
+// gtest names a parameterized case by the raw bytes of its parameter, so
+// the struct spells out its padding as a zero member: uninitialised padding
+// would put stack garbage in the case name and change it on every run.
 struct SpmdCase {
   std::uint64_t n;
   unsigned fanin;
+  unsigned zero_pad = 0;
   std::uint64_t g;
 };
 
 class SpmdParity : public ::testing::TestWithParam<SpmdCase> {};
 
 TEST_P(SpmdParity, MatchesDriverResultAndCost) {
-  const auto [n, fanin, g] = GetParam();
+  const std::uint64_t n = GetParam().n;
+  const unsigned fanin = GetParam().fanin;
+  const std::uint64_t g = GetParam().g;
   Rng rng(n + fanin);
   const auto input = bernoulli_array(n, 0.5, rng);
   Word want = 0;
@@ -44,9 +50,11 @@ TEST_P(SpmdParity, MatchesDriverResultAndCost) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SpmdParity,
-    ::testing::Values(SpmdCase{2, 2, 1}, SpmdCase{64, 2, 4},
-                      SpmdCase{100, 3, 2}, SpmdCase{256, 4, 8},
-                      SpmdCase{1000, 8, 1}));
+    ::testing::Values(SpmdCase{.n = 2, .fanin = 2, .g = 1},
+                      SpmdCase{.n = 64, .fanin = 2, .g = 4},
+                      SpmdCase{.n = 100, .fanin = 3, .g = 2},
+                      SpmdCase{.n = 256, .fanin = 4, .g = 8},
+                      SpmdCase{.n = 1000, .fanin = 8, .g = 1}));
 
 TEST(SpmdBroadcast, MatchesDriverResultAndCost) {
   for (const std::uint64_t n : {1ull, 7ull, 64ull, 500ull}) {

@@ -365,9 +365,7 @@ TEST(ProtocolStrictness, ResponseInvariantsAreEnforced) {
   EXPECT_NE(err.find("unknown status"), std::string::npos) << err;
 }
 
-TEST(ProtocolCell, CellRequestAndResponseRoundTrip) {
-  // The fleet's cell op (docs/SERVICE.md#fleet): base seed + trial0 +
-  // trials, answered with per-repetition costs and a telemetry wire.
+Request cell_request(std::uint64_t trial0, std::uint64_t trials) {
   Request req;
   req.id = 11;
   req.op = Op::Cell;
@@ -375,57 +373,93 @@ TEST(ProtocolCell, CellRequestAndResponseRoundTrip) {
               .workload = "parity_circuit",
               .params = {{"n", 64}, {"g", 2}}};
   req.seed = 42;
-  req.trial0 = 6;
-  req.trials = 3;
+  req.trial0 = trial0;
+  req.trials = trials;
+  return req;
+}
+
+TEST(ProtocolCell, CellRequestAndResponseRoundTrip) {
+  // The fleet's cell op (docs/SERVICE.md#fleet): base seed + trial0 +
+  // trials, answered with per-repetition costs and a telemetry wire.
+  // It travels on the binary codec only.
+  const Request req = cell_request(6, 3);
   Request back;
   std::string err;
-  ASSERT_TRUE(decode_request(encode_request(req), back, err)) << err;
+  ASSERT_TRUE(decode_request_binary(encode_request_binary(req), back, err))
+      << err;
   EXPECT_EQ(back.op, Op::Cell);
   EXPECT_EQ(back.seed, 42u);
   EXPECT_EQ(back.trial0, 6u);
   EXPECT_EQ(back.trials, 3u);
-  EXPECT_EQ(encode_request(back), encode_request(req));
+  EXPECT_EQ(encode_request_binary(back), encode_request_binary(req));
 
   Response resp;
   resp.id = 11;
   resp.costs = {12.0, 8.5, 0.0078125};
   resp.telemetry = "c qsm.phases 7;";
   Response rback;
-  ASSERT_TRUE(decode_response(encode_response(resp), rback, err)) << err;
+  ASSERT_TRUE(decode_response_binary(encode_response_binary(resp), rback, err))
+      << err;
   EXPECT_EQ(rback.costs, resp.costs);
   EXPECT_EQ(rback.telemetry, resp.telemetry);
-  EXPECT_EQ(encode_response(rback), encode_response(resp));
+  EXPECT_EQ(encode_response_binary(rback), encode_response_binary(resp));
+
+  // The JSON codec (the daemon edge) has no cell form in either
+  // direction: it refuses to encode one and refuses to decode one.
+  EXPECT_THROW((void)encode_request(req), std::invalid_argument);
+  EXPECT_THROW((void)encode_response(resp), std::invalid_argument);
+  EXPECT_FALSE(decode_request(R"({"id":1,"op":"cell"})", back, err));
+  EXPECT_NE(err.find("unknown op 'cell'"), std::string::npos) << err;
+  EXPECT_FALSE(decode_request(
+      R"({"id":1,"op":"run","engine":"qsm","workload":"w",)"
+      R"("params":{"n":1},"seed":0,"trial0":0,"trials":2})",
+      back, err));
+  EXPECT_NE(err.find("unknown request key 'trial0'"), std::string::npos)
+      << err;
+  EXPECT_FALSE(decode_response(R"({"id":1,"status":"ok","costs":[1.0]})",
+                               rback, err));
+  EXPECT_NE(err.find("unknown response key 'costs'"), std::string::npos)
+      << err;
 }
 
 TEST(ProtocolCell, CellFieldRulesAreStrict) {
   Request r;
   std::string err;
-  // trial0/trials are required on cell...
-  EXPECT_FALSE(decode_request(
-      R"({"id":1,"op":"cell","engine":"qsm","workload":"w",)"
-      R"("params":{"n":1},"seed":0,"trials":2})",
-      r, err));
-  EXPECT_NE(err.find("'trial0'"), std::string::npos) << err;
-  EXPECT_FALSE(decode_request(
-      R"({"id":1,"op":"cell","engine":"qsm","workload":"w",)"
-      R"("params":{"n":1},"seed":0,"trial0":0})",
-      r, err));
-  EXPECT_NE(err.find("'trials'"), std::string::npos) << err;
-  // ...must not ride on other ops...
-  EXPECT_FALSE(decode_request(
-      R"({"id":1,"op":"run","engine":"qsm","workload":"w",)"
-      R"("params":{"n":1},"seed":0,"trial0":0,"trials":2})",
-      r, err));
+  // trial0/trials are required on cell: the encoding ends with their
+  // two one-byte varints, and cutting either is a typed error...
+  const std::string cell = encode_request_binary(cell_request(0, 2));
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{2}}) {
+    err.clear();
+    EXPECT_FALSE(decode_request_binary(
+        std::string_view(cell).substr(0, cell.size() - cut), r, err));
+    EXPECT_NE(err.find("truncated varint"), std::string::npos) << err;
+  }
+  // ...they must not ride on other ops...
+  std::string tail;
+  tail += '\x00';  // trial0 = 0
+  tail += '\x02';  // trials = 2
+  Request run = cell_request(0, 2);
+  run.op = Op::Run;
+  Request ping;
+  ping.id = 1;
+  ping.op = Op::Ping;
+  for (const Request& other : {run, ping}) {
+    ASSERT_TRUE(decode_request_binary(encode_request_binary(other), r, err))
+        << err;
+    EXPECT_FALSE(
+        decode_request_binary(encode_request_binary(other) + tail, r, err));
+    EXPECT_NE(err.find("trailing bytes"), std::string::npos) << err;
+  }
   // ...and an empty repetition block is meaningless.
-  EXPECT_FALSE(decode_request(
-      R"({"id":1,"op":"cell","engine":"qsm","workload":"w",)"
-      R"("params":{"n":1},"seed":0,"trial0":0,"trials":0})",
-      r, err));
+  EXPECT_FALSE(
+      decode_request_binary(encode_request_binary(cell_request(0, 0)), r, err));
   EXPECT_NE(err.find("trials >= 1"), std::string::npos) << err;
   // telemetry is a cell-response field: without costs it is invalid.
   Response p;
-  EXPECT_FALSE(decode_response(
-      R"({"id":1,"status":"ok","telemetry":"c x 1;"})", p, err));
+  p.id = 1;
+  p.telemetry = "c x 1;";
+  const std::string orphan = encode_response_binary(p);
+  EXPECT_FALSE(decode_response_binary(orphan, p, err));
   EXPECT_NE(err.find("'telemetry' without 'costs'"), std::string::npos)
       << err;
 }
@@ -513,12 +547,12 @@ TEST(ProtocolFraming, PayloadLimitIsAParameterOnBothSides) {
 }
 
 // ---------------------------------------------------------------------
-// Binary codec (wire v2): the same properties the JSON codec is held
-// to — lossless round-trips, typed rejection of every malformed input
-// — plus the bit-exactness the binary wire exists for.
+// Binary codec (the fleet data plane): the same properties the JSON
+// codec is held to — lossless round-trips, typed rejection of every
+// malformed input — plus bit-exact costs.
 
-/// random_request, sometimes upgraded to the fleet's cell op (the only
-/// op the binary wire adds fields for).
+/// random_request, sometimes upgraded to the fleet's cell op (the op
+/// only the binary codec carries).
 Request random_binary_request(Rng& rng) {
   Request req = random_request(rng);
   if (req.op == Op::Run && rng.next_bool()) {
@@ -562,7 +596,9 @@ std::string check_binary_request_roundtrip(std::uint64_t seed) {
   // the wire bytes, so cached frames can be compared byte-wise.
   if (encode_request_binary(out) != wire) return "re-encode drifted";
 
-  // Cross-codec equivalence: the JSON wire decodes to the same struct.
+  // Cross-codec equivalence on the ops both codecs carry: the JSON
+  // edge decodes to the same struct.
+  if (req.op == Op::Cell) return "";
   Request via_text;
   if (!decode_request(encode_request(req), via_text, err))
     return "text decode failed: " + err;
@@ -692,7 +728,7 @@ TEST(BinaryCodec, MagicBytesAreDisjointFromTheTextCodec) {
 TEST(BinaryCodec, AdversarialDoublesRoundTripBitExact) {
   // The values the %.17g text detour is most likely to mangle: signed
   // zero, denormals, and the extremes — plus full-range u64 ids,
-  // seeds and params. Bit-exactness is the reason wire v2 exists.
+  // seeds and params. Cell costs must arrive bit-exact.
   const double kAdversarial[] = {
       -0.0,
       5e-324,                                    // smallest denormal
@@ -768,15 +804,32 @@ TEST(BinaryCodec, NaNIsRejectedInBothDirections) {
 }
 
 TEST(BinaryCodec, FieldDisciplineMatchesTheTextCodec) {
+  // On the responses both codecs carry (run cost, stats, ping ack,
+  // retry, error), each decodes its own encoding to the same struct.
+  std::vector<Response> shared(5);
+  shared[0].has_cost = true;
+  shared[0].cached = true;
+  shared[0].cost = 2.0;
+  shared[1].stats_json = R"({"counters":{"cache.hit":3}})";
+  shared[3].status = Status::Retry;
+  shared[4].status = Status::Error;
+  shared[4].error = "no such workload";
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    shared[i].id = 9 + i;
+    Response via_text, via_binary;
+    std::string err;
+    ASSERT_TRUE(decode_response(encode_response(shared[i]), via_text, err))
+        << err;
+    ASSERT_TRUE(decode_response_binary(encode_response_binary(shared[i]),
+                                       via_binary, err))
+        << err;
+    EXPECT_EQ(diff_responses(via_text, via_binary), "") << "response " << i;
+  }
+
   // The invariants ProtocolStrictness pins on JSON hold bit-for-bit
-  // here: unknown flag combinations and impossible field pairings are
-  // typed errors, not silent acceptance.
-  Response resp;
-  resp.id = 9;
-  resp.status = Status::Ok;
-  resp.has_cost = true;
-  resp.cost = 2.0;
-  std::string wire = encode_response_binary(resp);
+  // here: unknown flag bits and impossible field pairings are typed
+  // errors, not silent acceptance.
+  const std::string wire = encode_response_binary(shared[0]);
   // Byte layout: magic, varint id (one byte for 9), status, flags.
   ASSERT_EQ(wire.size(), 4u + 8u);
   std::string mutated = wire;
@@ -788,6 +841,9 @@ TEST(BinaryCodec, FieldDisciplineMatchesTheTextCodec) {
   mutated[3] = static_cast<char>(0x01);  // cached without a cost payload
   EXPECT_FALSE(decode_response_binary(
       std::string_view(mutated).substr(0, 4), out, err));
+  EXPECT_NE(err.find("'cached' without"), std::string::npos) << err;
+  EXPECT_FALSE(decode_response(R"({"id":9,"status":"ok","cached":true})",
+                               out, err));
   EXPECT_NE(err.find("'cached' without"), std::string::npos) << err;
 }
 

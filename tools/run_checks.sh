@@ -58,12 +58,11 @@
 #      and force a worker crash mid-sweep with the retry counters
 #      checked on stderr;
 #  12. the fleet data-plane stage (docs/SERVICE.md#wire-v2): a
-#      parbounds_serve --stdio --workers 2 sweep run under
-#      PARBOUNDS_FLEET_WIRE=text and =binary with the response bytes
-#      cmp'd (the wire codec must never leak into a result), an
-#      unknown wire value required to die with the did-you-mean hint,
-#      and the bench_fleet_throughput smoke — credit-window pipelining
-#      vs lock-step with an in-process identity oracle on every
+#      fleet-versus-in-process identity smoke — the same sweep through
+#      parbounds_serve --stdio without --workers and with --workers 2,
+#      each on a cold cache of its own, response bytes cmp'd — and the
+#      bench_fleet_throughput smoke — credit-window pipelining vs
+#      lock-step with an in-process identity oracle on every
 #      configuration and a pipeline_speedup floor that scales with the
 #      host (>=4 cores gates at 1.5x; 1-core CI boxes gate at 1.0 and
 #      lean on the oracle; see docs/PERF.md, "Fleet throughput").
@@ -269,15 +268,13 @@ EOF
   rm -rf "${dir}"
 }
 
-# Fleet wire-mode smoke (docs/SERVICE.md#wire-v2). $1 is the build dir
-# holding tools/parbounds_serve. The same sweep runs through a 2-worker
-# fleet on the v1 text wire and the v2 binary wire; the response bytes
-# must be identical (cmp, not diff: every byte counts). An unknown
-# PARBOUNDS_FLEET_WIRE value must die with the did-you-mean hint the
-# same way a bad PARBOUNDS_SIMD pin does.
-run_fleet_wire_smoke() {
+# Fleet identity smoke (docs/SERVICE.md#wire-v2). $1 is the build dir
+# holding tools/parbounds_serve. The same sweep is answered by the
+# in-process backend and by a 2-worker fleet on the binary wire; the
+# response bytes must be identical (cmp, not diff: every byte counts).
+run_fleet_identity_smoke() {
   local serve="$1/tools/parbounds_serve"
-  echo "==> fleet wire smoke (text vs binary byte identity, --workers 2)"
+  echo "==> fleet identity smoke (in-process vs --workers 2, byte identity)"
   local dir
   dir="$(mktemp -d)"
   local sweep
@@ -288,32 +285,21 @@ run_fleet_wire_smoke() {
 EOF
 )"
   # Separate cold caches: with a shared one the second run would answer
-  # cached:true and the cmp would flag the cache, not the codec.
-  printf '%s\n' "${sweep}" | PARBOUNDS_FLEET_WIRE=text \
-    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-text" \
-    >"${dir}/text.out"
-  printf '%s\n' "${sweep}" | PARBOUNDS_FLEET_WIRE=binary \
-    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-binary" \
-    >"${dir}/binary.out"
-  if ! cmp "${dir}/text.out" "${dir}/binary.out"; then
-    echo "wire codec leaked into the response bytes (text vs binary)" >&2
+  # cached:true and the cmp would flag the cache, not the fleet.
+  printf '%s\n' "${sweep}" |
+    "${serve}" --stdio --cache-dir "${dir}/cache-inproc" >"${dir}/inproc.out"
+  printf '%s\n' "${sweep}" |
+    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-fleet" \
+    >"${dir}/fleet.out"
+  if ! cmp "${dir}/inproc.out" "${dir}/fleet.out"; then
+    echo "fleet response bytes diverged from the in-process backend" >&2
     exit 1
   fi
-  echo "==> fleet wire smoke: unknown wire mode must die with a hint"
-  local rc=0
-  printf '%s\n' "${sweep}" | PARBOUNDS_FLEET_WIRE=binry \
-    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-bad" \
-    >"${dir}/bad.out" 2>"${dir}/bad.err" || rc=$?
-  if [[ "${rc}" -eq 0 ]]; then
-    echo "an unknown PARBOUNDS_FLEET_WIRE value was accepted" >&2
+  if [[ "$(grep -c '"status":"ok"' "${dir}/fleet.out")" != 3 ]]; then
+    echo "the fleet did not answer all three requests ok:" >&2
+    cat "${dir}/fleet.out" >&2
     exit 1
   fi
-  if ! grep -q "did you mean 'binary'" "${dir}/bad.err"; then
-    echo "an unknown PARBOUNDS_FLEET_WIRE value was not rejected with a hint" >&2
-    cat "${dir}/bad.err" >&2
-    exit 1
-  fi
-  echo "    PARBOUNDS_FLEET_WIRE=binry: rejected with a hint"
   rm -rf "${dir}"
 }
 
@@ -346,7 +332,7 @@ if [[ "${QUICK}" == 1 ]]; then
   run_service_smoke "${BUILD_DIR}"
   echo "==> [quick] fleet-labelled subset (multi-process byte identity)"
   ctest --test-dir "${BUILD_DIR}" -L fleet --output-on-failure
-  run_fleet_wire_smoke "${BUILD_DIR}"
+  run_fleet_identity_smoke "${BUILD_DIR}"
   echo "==> [quick] parprof_cli smoke over an exported demo trace"
   "${BUILD_DIR}/tools/parlint_cli" --export-demo \
     "${BUILD_DIR}/CHECK_prof_demo.csv" 512 8 2
@@ -407,7 +393,7 @@ run_service_smoke "${BUILD_DIR}"
 echo "==> fleet-labelled subset (multi-process byte identity)"
 ctest --test-dir "${BUILD_DIR}" -L fleet --output-on-failure
 
-run_fleet_wire_smoke "${BUILD_DIR}"
+run_fleet_identity_smoke "${BUILD_DIR}"
 
 echo "==> parprof_cli smoke over an exported demo trace"
 "${BUILD_DIR}/tools/parlint_cli" --export-demo \
