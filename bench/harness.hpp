@@ -20,7 +20,8 @@
 //   --json [PATH]  machine-readable report (default BENCH_<name>.json):
 //                  per-trial costs, aggregates, wall time and the
 //                  speedup over a serial re-run of the same sweeps —
-//                  the re-run doubles as a bit-identity cross-check.
+//                  the re-run doubles as a bit-identity cross-check
+//                  (at --jobs 1 nothing is re-run).
 //   --trace [PATH] Chrome trace-event export (default TRACE_<name>.json,
 //                  chrome://tracing / Perfetto-loadable) of the runner's
 //                  spans, plus a top-N span summary on stderr. --trace
@@ -390,7 +391,9 @@ inline BenchSession& session_init(int& argc, char** argv, std::string name) {
 }
 
 /// Run a sweep through the session runner; the serial baseline (wall
-/// time + bit-identity cross-check) is measured when --json is active.
+/// time + bit-identity cross-check) is measured when --json is active
+/// and --jobs > 1 (at --jobs 1 the sweep is its own serial baseline;
+/// run_sweep does not re-run it).
 /// Under --via-service every cell is routed through the sweep service,
 /// under --workers across the process fleet (same derived seeds, same
 /// kernels, same aggregation); a cell without a ServiceSpec is a hard

@@ -42,12 +42,21 @@ Word parity_circuit(QsmMachine& m, Addr in, std::uint64_t n, unsigned block) {
     const Addr mism = m.alloc(blocks * asg);
     const Addr out = m.alloc(blocks);
 
-    // Processor naming: pid(b, a, j) for block b, assignment a, position j.
+    // Processor naming: pid(b, a, j) for block b, odd assignment a,
+    // position j. Only odd assignments run, and an odd assignment is
+    // determined by its low k-1 bits (the top bit restores odd parity;
+    // a short last block has a < 2^(k-1) anyway), so the ids index
+    // slot a mod 2^(k-1) — an injective relabelling that leaves no id to
+    // the even assignments and every per-processor count unchanged.
+    const std::uint64_t half = asg / 2;
+    auto slot = [&](std::uint64_t b, std::uint64_t a) {
+      return b * half + (a & (half - 1));
+    };
     auto pid = [&](std::uint64_t b, std::uint64_t a, std::uint64_t j) {
-      return (b * asg + a) * (k + 1) + j + 1;  // +1 leaves 0 unused
+      return slot(b, a) * (k + 1) + j + 1;  // +1 leaves the leader's id
     };
     auto leader = [&](std::uint64_t b, std::uint64_t a) {
-      return (b * asg + a) * (k + 1);
+      return slot(b, a) * (k + 1);
     };
     auto block_size = [&](std::uint64_t b) {
       const std::uint64_t lo = b * k;

@@ -93,6 +93,7 @@ FleetCoordinator::~FleetCoordinator() {
 }
 
 bool FleetCoordinator::spawn(unsigned slot) {
+  obs::Span span(obs::process_tracer(), "fleet.spawn", slot);
   int req[2] = {-1, -1};
   int resp[2] = {-1, -1};
   if (::pipe2(req, O_CLOEXEC) != 0) return false;
@@ -144,7 +145,6 @@ bool FleetCoordinator::spawn(unsigned slot) {
   w.outq.clear();
 
   metrics_.add(spawn_id_);
-  obs::Span span(obs::process_tracer(), "fleet.spawn", slot);
   return true;
 }
 

@@ -84,6 +84,12 @@ class ParallelFor {
   /// inline; algorithms can consult this to skip parallel-only setup).
   static bool in_pool_worker() noexcept;
 
+  /// True when a for_shards call with `shards` shards, issued from the
+  /// calling thread now, would run its bodies inline (one thread, one
+  /// shard, or a nested call from a pool / ExperimentRunner worker).
+  /// Lets callers pick a serial strategy; results must not depend on it.
+  bool runs_inline(unsigned shards) const noexcept;
+
  private:
   ParallelFor();
   struct Impl;
@@ -101,8 +107,7 @@ template <class T>
 void parallel_sort(std::vector<T>& v, ParallelFor& pool,
                    std::size_t grain = std::size_t{1} << 16) {
   constexpr unsigned kShards = 8;  // power of two for the merge tree
-  if (v.size() < grain || v.size() < kShards || pool.threads() <= 1 ||
-      ParallelFor::in_pool_worker()) {
+  if (v.size() < grain || v.size() < kShards || pool.runs_inline(kShards)) {
     std::sort(v.begin(), v.end());
     return;
   }

@@ -50,7 +50,11 @@ SweepResult run_sweep(const ExperimentRunner& runner, std::string title,
   const auto costs = run_all(runner, cells, cell_of, base_seed);
   out.wall_ms = ms_since(t0);
 
-  if (serial_baseline) {
+  if (serial_baseline && runner.jobs() == 1) {
+    // The run above already was the serial run: re-running it would
+    // double the wall for a cross-check that cannot fail.
+    out.serial_wall_ms = out.wall_ms;
+  } else if (serial_baseline) {
     const ExperimentRunner serial({.jobs = 1});
     const auto t1 = Clock::now();
     const auto again = run_all(serial, cells, cell_of, base_seed);

@@ -85,8 +85,10 @@ std::vector<CellResult> aggregate_cells(const std::vector<SweepCell>& cells,
                                         const std::vector<double>& costs);
 
 /// Execute every (cell, repetition) trial through `runner`. When
-/// `serial_baseline` is set, the whole sweep is re-run on one thread to
-/// time the serial path and cross-check bit-identical results.
+/// `serial_baseline` is set and the runner is parallel (jobs > 1), the
+/// whole sweep is re-run on one thread to time the serial path and
+/// cross-check bit-identical results; at jobs 1 the run itself is the
+/// serial baseline, so nothing runs twice and serial_wall_ms = wall_ms.
 SweepResult run_sweep(const ExperimentRunner& runner, std::string title,
                       std::uint64_t base_seed, std::vector<SweepCell> cells,
                       bool serial_baseline = false);

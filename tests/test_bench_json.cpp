@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
@@ -223,6 +224,34 @@ BenchReport tiny_report(unsigned jobs, bool baseline) {
   report.sweeps.push_back(
       run_sweep(runner, "tiny sweep", kBase, tiny_cells(), baseline));
   return report;
+}
+
+TEST(BenchJson, SerialBaselineReRunsOnlyParallelSweeps) {
+  // At jobs 1 the sweep is its own serial baseline: every trial runs
+  // once. At jobs 2 the determinism cross-check re-runs each trial on
+  // one thread, so it runs twice.
+  for (const unsigned jobs : {1u, 2u}) {
+    std::atomic<std::uint64_t> calls{0};
+    std::vector<SweepCell> cells;
+    for (const std::uint64_t n : {3ull, 5ull})
+      cells.push_back({.key = "n=" + std::to_string(n),
+                       .trials = 4,
+                       .lb = 0.0,
+                       .ub = 1.0,
+                       .run = [&calls](std::uint64_t) {
+                         calls.fetch_add(1, std::memory_order_relaxed);
+                         return 1.0;
+                       }});
+    const SweepResult res =
+        run_sweep(ExperimentRunner({.jobs = jobs}), "count", kBase,
+                  std::move(cells), /*serial_baseline=*/true);
+    EXPECT_EQ(calls.load(std::memory_order_relaxed), jobs == 1 ? 8u : 16u)
+        << "jobs=" << jobs;
+    EXPECT_TRUE(res.deterministic);
+    if (jobs == 1) {
+      EXPECT_EQ(res.serial_wall_ms, res.wall_ms);
+    }
+  }
 }
 
 TEST(BenchJson, RequiredKeysAndTypes) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/bench_json.hpp"
 #include "runtime/fleet/coordinator.hpp"
@@ -545,6 +546,40 @@ TEST(FleetEndToEnd, TeardownWithoutWorkReapsEveryWorker) {
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(FleetEndToEnd, EverySpawnRecordsOneTimedSpan) {
+  // The fleet.spawn span covers pipe set-up, fork and bookkeeping: it
+  // opens at the top of spawn(), so each spawn leaves one B/E pair
+  // with a positive duration.
+  obs::Tracer tracer;
+  obs::install_process_tracer(&tracer);
+  {
+    FleetConfig cfg;
+    cfg.workers = 3;
+    FleetCoordinator fc(cfg);
+    EXPECT_EQ(fc.counter("fleet.worker.spawn"), 3u);
+  }
+  obs::install_process_tracer(nullptr);
+  std::vector<std::uint64_t> slots;
+  for (const auto& buf : tracer.buffers()) {
+    std::vector<const obs::SpanEvent*> open;
+    for (std::size_t i = 0; i < buf.count; ++i) {
+      const obs::SpanEvent& e = buf.events[i];
+      if (std::string(e.name) != "fleet.spawn") continue;
+      if (e.phase == 'B') {
+        open.push_back(&e);
+        continue;
+      }
+      ASSERT_FALSE(open.empty()) << "unmatched fleet.spawn end";
+      EXPECT_GT(e.ts_ns, open.back()->ts_ns);
+      slots.push_back(open.back()->arg);
+      open.pop_back();
+    }
+    EXPECT_TRUE(open.empty());
+  }
+  std::sort(slots.begin(), slots.end());
+  EXPECT_EQ(slots, (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 }  // namespace

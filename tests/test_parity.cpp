@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "algos/cost_kernels.hpp"
 #include "core/rounds.hpp"
+#include "util/mathx.hpp"
 #include "workloads/generators.hpp"
 
 namespace parbounds {
@@ -77,6 +81,70 @@ TEST(ParityCircuit, ExplicitBlockSizes) {
     EXPECT_EQ(parity_circuit(m, in, 200, block), ref_parity(input))
         << "block " << block;
   }
+}
+
+// Processors are named by odd assignment only: slot a mod 2^(k-1) per
+// block, k+1 ids per slot. Every id any level uses stays below the
+// first level's blocks * 2^(k-1) * (k+1) (later levels have fewer
+// blocks and k no larger).
+TEST(ParityCircuit, ProcessorIdsCoverOddAssignmentsOnly) {
+  for (const unsigned block : {2u, 3u, 6u, 10u}) {
+    for (const std::uint64_t n : {7ull, 64ull, 300ull}) {
+      QsmMachine m({.g = 4, .record_detail = true});
+      Rng rng(n + block);
+      const auto input = bernoulli_array(n, 0.5, rng);
+      const Addr in = m.alloc(n);
+      m.preload(in, input);
+      ASSERT_EQ(parity_circuit(m, in, n, block), ref_parity(input));
+      const std::uint64_t k = std::min<std::uint64_t>(block, n);
+      const std::uint64_t bound =
+          ceil_div(n, k) * (std::uint64_t{1} << (k - 1)) * (k + 1);
+      std::uint64_t max_id = 0, events = 0;
+      for (const auto& ph : m.trace().phases)
+        for (const MemEvent& e : ph.events) {
+          max_id = std::max<std::uint64_t>(max_id, e.proc);
+          ++events;
+        }
+      EXPECT_GT(events, 0u);
+      EXPECT_LT(max_id, bound) << "n=" << n << " block=" << block;
+    }
+  }
+}
+
+TEST(ParityCircuit, EqualsXorForEverySizeAndBlock) {
+  for (unsigned block = 2; block <= 10; ++block) {
+    for (std::uint64_t n = 1; n <= 300; ++n) {
+      QsmMachine m({.g = 4});
+      Rng rng(n * 16 + block);
+      const auto input = bernoulli_array(n, 0.5, rng);
+      const Addr in = m.alloc(n);
+      m.preload(in, input);
+      ASSERT_EQ(parity_circuit(m, in, n, block), ref_parity(input))
+          << "n=" << n << " block=" << block;
+    }
+  }
+}
+
+// The relabelling is injective, so no per-processor count — and no
+// cost — may move. Literals recorded before the relabelling (seed 7).
+TEST(ParityCircuit, CostsPinnedAcrossTheRelabelling) {
+  struct Pin {
+    CostModel model;
+    std::uint64_t n, g;
+    double cost;
+  };
+  const Pin pins[] = {
+      {CostModel::Qsm, 1024, 4, 112},        {CostModel::Qsm, 1024, 16, 320},
+      {CostModel::Qsm, 1024, 64, 1024},      {CostModel::Qsm, 4096, 4, 128},
+      {CostModel::Qsm, 4096, 16, 384},       {CostModel::Qsm, 4096, 64, 1280},
+      {CostModel::QsmCrFree, 1024, 4, 80},   {CostModel::QsmCrFree, 1024, 16, 256},
+      {CostModel::QsmCrFree, 1024, 64, 1024}, {CostModel::QsmCrFree, 4096, 4, 96},
+      {CostModel::QsmCrFree, 4096, 16, 256}, {CostModel::QsmCrFree, 4096, 64, 1024},
+  };
+  for (const Pin& p : pins)
+    EXPECT_EQ(kernels::parity_circuit_cost(p.model, p.n, p.g, 7), p.cost)
+        << (p.model == CostModel::Qsm ? "Qsm" : "QsmCrFree") << " n=" << p.n
+        << " g=" << p.g;
 }
 
 TEST(ParityCircuit, BlockAutoSelection) {
