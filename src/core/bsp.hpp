@@ -102,10 +102,6 @@ class BspMachine {
   std::vector<std::uint64_t> send_cnt_;
   std::vector<std::uint64_t> recv_cnt_;
   std::vector<std::uint64_t> work_cnt_;
-
-  // Sharded counterparts for large supersteps (see phase_scan.hpp).
-  detail::ShardedScan ssrc_{detail::kProcHistogramLimit};
-  detail::ShardedScan sdst_{detail::kProcHistogramLimit};
 };
 
 }  // namespace parbounds

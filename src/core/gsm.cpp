@@ -1,7 +1,6 @@
 #include "core/gsm.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/phase_scan.hpp"
 #include "obs/telemetry.hpp"
@@ -79,54 +78,30 @@ const PhaseTrace& GsmMachine::commit_phase() {
   st.reads = reads_.size();
   st.writes = writes_.size();
 
-  // The GSM charges reads and writes jointly per processor. Large
-  // phases take the sharded scans (path picked by size alone; see
-  // phase_scan.hpp for the bit-identical merge argument).
-  const std::uint64_t nr = reads_.size();
-  const bool sharded =
-      nr + writes_.size() >= detail::commit_shard_min_requests();
-  bool clash = false;
-  if (sharded) {
-    ph.commit_shards = detail::kCommitShards;
-    sproc_.scan(nr + writes_.size(), [&](std::uint64_t i) {
-      return i < nr ? reads_[i].proc : writes_[i - nr].proc;
-    });
-    sraddr_.scan(nr, [this](std::uint64_t i) { return reads_[i].addr; });
-    swaddr_.scan(writes_.size(),
-                 [this](std::uint64_t i) { return writes_[i].addr; });
-    // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-    const auto merge_t0 = std::chrono::steady_clock::now();
-    st.m_rw = std::max(st.m_rw, sproc_.max_run());
-    st.kappa_r = std::max(st.kappa_r, sraddr_.max_run());
-    st.kappa_w = std::max(st.kappa_w, swaddr_.max_run());
-    clash = detail::ShardedScan::min_common(sraddr_, swaddr_).has_value();
-    ph.commit_merge_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-            std::chrono::steady_clock::now() - merge_t0)
-            .count());
-  } else {
-    proc_hist_.reset();
-    for (const auto& r : reads_) proc_hist_.add(r.proc);
-    for (const auto& w : writes_) proc_hist_.add(w.proc);
-    st.m_rw = std::max(st.m_rw, proc_hist_.max_run());
+  // The GSM charges reads and writes jointly per processor. Every phase
+  // is counted serially; the GSM has no parallel apply pass, so phase
+  // size changes nothing here.
+  proc_hist_.reset();
+  for (const auto& r : reads_) proc_hist_.add(r.proc);
+  for (const auto& w : writes_) proc_hist_.add(w.proc);
+  st.m_rw = std::max(st.m_rw, proc_hist_.max_run());
 
-    // Per-cell contention and the read-xor-write queue rule: dense
-    // addresses through flat histograms (a write probes the read counter
-    // directly), spilled addresses through a sorted two-pointer pass.
-    raddr_hist_.reset();
-    for (const auto& r : reads_) raddr_hist_.add(r.addr);
-    st.kappa_r = std::max(st.kappa_r, raddr_hist_.max_run());
-    waddr_hist_.reset();
-    for (const auto& w : writes_) {
-      clash = clash || raddr_hist_.count(w.addr) > 0;
-      waddr_hist_.add(w.addr);
-    }
-    st.kappa_w = std::max(st.kappa_w, waddr_hist_.max_run());
-    clash = clash || detail::first_common(raddr_hist_.spill(),
-                                          waddr_hist_.spill())
-                         .has_value();
+  // Per-cell contention and the read-xor-write queue rule: dense
+  // addresses through flat histograms (a write probes the read counter
+  // directly), spilled addresses through a sorted two-pointer pass.
+  bool clash = false;
+  raddr_hist_.reset();
+  for (const auto& r : reads_) raddr_hist_.add(r.addr);
+  st.kappa_r = std::max(st.kappa_r, raddr_hist_.max_run());
+  waddr_hist_.reset();
+  for (const auto& w : writes_) {
+    clash = clash || raddr_hist_.count(w.addr) > 0;
+    waddr_hist_.add(w.addr);
   }
+  st.kappa_w = std::max(st.kappa_w, waddr_hist_.max_run());
+  clash = clash ||
+          detail::first_common(raddr_hist_.spill(), waddr_hist_.spill())
+              .has_value();
   if (clash)
     throw ModelViolation("GSM cell both read and written in one phase");
 

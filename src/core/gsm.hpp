@@ -133,11 +133,6 @@ class GsmMachine {
   detail::KeyHistogram raddr_hist_{detail::kAddrHistogramLimit};
   detail::KeyHistogram waddr_hist_{detail::kAddrHistogramLimit};
 
-  // Sharded counterparts for large phases (see phase_scan.hpp).
-  detail::ShardedScan sproc_{detail::kProcHistogramLimit};
-  detail::ShardedScan sraddr_{detail::kAddrHistogramLimit};
-  detail::ShardedScan swaddr_{detail::kAddrHistogramLimit};
-
   static const std::vector<std::vector<Word>> kEmpty;
   static const std::vector<Word> kEmptyCell;
 };

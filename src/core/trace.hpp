@@ -36,11 +36,12 @@ struct PhaseTrace {
   PhaseStats stats;            ///< raw quantities (m_op, m_rw, kappa, ...)
   std::uint64_t cost = 0;      ///< charged cost under the machine's policy
   std::uint64_t h = 0;         ///< BSP only: the routed h-relation
-  /// Shards the commit scan ran over (0 = serial path). Implementation
+  /// Shards of a big phase's apply passes (0 = small phase). Implementation
   /// telemetry, not a model quantity: stats and cost are bit-identical
   /// either way, so trace_io deliberately leaves these out of the CSV.
   std::uint32_t commit_shards = 0;
-  std::uint64_t commit_merge_ns = 0;  ///< wall-clock of the shard merges
+  /// Wall-clock of a big phase's accounting (scans, maxima, clash probe).
+  std::uint64_t commit_merge_ns = 0;
   std::vector<MemEvent> events;  ///< populated only in detail mode
 };
 

@@ -45,12 +45,13 @@ class TelemetryObserver final : public AnalysisObserver {
     MetricsRegistry::Id phases, cost, ops, reads, writes, traffic;
     MetricsRegistry::Id kappa_r_max, kappa_w_max, m_rw_max;
     MetricsRegistry::Id phase_cost_hist, kappa_hist;
-    // Sharded-commit telemetry (phase_scan.hpp): shards the scan ran
-    // over and wall-clock spent merging them. commit.shards is a model-
-    // independent but deterministic count (the path is a pure function
-    // of phase size); commit.merge_ns is wall-clock and therefore the
-    // one documented exception to snapshot bit-identity — it stays 0
-    // whenever no phase took the sharded path.
+    // Big-phase telemetry (phase_scan.hpp): the shard count of a big
+    // phase's apply passes and the wall-clock of its accounting (the
+    // counting scans, maxima and queue-rule probe). commit.shards is a
+    // model-independent but deterministic count (bigness is a pure
+    // function of phase size); commit.merge_ns is wall-clock and
+    // therefore the one documented exception to snapshot bit-identity —
+    // both stay 0 whenever no phase is big.
     MetricsRegistry::Id commit_shards, commit_merge_ns;
   };
 
