@@ -164,6 +164,23 @@ int main(int argc, char** argv) {
           adv.refine(1, pb::PartialInputMap::all_unset(8)));
     }
   });
+  // A whole REFINE chain: one analysis run on all 2^12 refinements, every
+  // later one derived from its predecessor.
+  benchmark::RegisterBenchmark("adversary/refine_chain_n12",
+                               [](benchmark::State& st) {
+    constexpr unsigned n = 12;
+    for (auto _ : st) {
+      pb::RandomAdversary adv(or_tree_algo(2), pb::GsmConfig{}, n,
+                              pb::BitDistribution::uniform(n), kSeed);
+      pb::PartialInputMap f = pb::PartialInputMap::all_unset(n);
+      for (unsigned phase = 1; phase <= 6; ++phase) {
+        const auto step = adv.refine(phase, f);
+        if (step.forced_rw == 0 && step.forced_contention == 0) break;
+        f = step.f;
+        benchmark::DoNotOptimize(adv.analyze(f).phases());
+      }
+    }
+  });
   benchmark::RegisterBenchmark("adversary/trace_analysis_n10",
                                [](benchmark::State& st) {
                                  for (auto _ : st) {

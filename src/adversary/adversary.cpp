@@ -16,8 +16,17 @@ RandomAdversary::RandomAdversary(GsmAlgorithm algo, GsmConfig cfg,
       D_(std::move(D)),
       rng_(seed) {}
 
-TraceAnalysis RandomAdversary::analyze(const PartialInputMap& f) const {
-  return TraceAnalysis(algo_, cfg_, n_inputs_, f);
+const TraceAnalysis& RandomAdversary::analysis(const PartialInputMap& f) {
+  if (last_ && last_->base() == f) return *last_;
+  if (last_ && f.refines(last_->base()))
+    last_ = TraceAnalysis(*last_, f);
+  else
+    last_.emplace(algo_, cfg_, n_inputs_, f);
+  return *last_;
+}
+
+TraceAnalysis RandomAdversary::analyze(const PartialInputMap& f) {
+  return analysis(f);
 }
 
 RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
@@ -36,7 +45,7 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
   // ----- lines (4)-(10): force the busiest processor ------------------------
   bool done = false;
   while (!done && out.inputs_fixed <= budget) {
-    const TraceAnalysis ta = analyze(out.f);
+    const TraceAnalysis& ta = analysis(out.f);
     if (t > ta.phases()) break;  // algorithm already finished
 
     // MaxProc: processor with the largest possible rw count this phase.
@@ -80,7 +89,7 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
     }
     if (match) {
       // Re-evaluate the now-forced rw count under the refined map.
-      const TraceAnalysis ta2 = analyze(out.f);
+      const TraceAnalysis& ta2 = analysis(out.f);  // replaces ta
       std::uint64_t forced = 0;
       if (t <= ta2.phases())
         for (std::size_t v = 0; v < ta2.entities().size(); ++v)
@@ -94,7 +103,7 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
   // ----- lines (12)-(21): force the most contended cell ----------------------
   done = false;
   while (!done && out.inputs_fixed <= budget) {
-    const TraceAnalysis ta = analyze(out.f);
+    const TraceAnalysis& ta = analysis(out.f);
     if (t > ta.phases()) break;
 
     std::size_t best_v = 0;
@@ -144,7 +153,7 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
       if (got != want) match = false;
     }
     if (match) {
-      const TraceAnalysis ta2 = analyze(out.f);
+      const TraceAnalysis& ta2 = analysis(out.f);  // replaces ta
       std::uint64_t forced = 0;
       if (t <= ta2.phases())
         for (std::size_t v = 0; v < ta2.entities().size(); ++v)

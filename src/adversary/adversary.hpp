@@ -2,7 +2,7 @@
 // The Random Adversary (Sections 4 and 5), executable.
 //
 // RandomAdversary walks a deterministic GSM algorithm phase by phase. At
-// each phase it re-analyzes the algorithm over all refinements of the
+// each phase it analyzes the algorithm over all refinements of the
 // current partial input map (TraceAnalysis) and executes the Section 5
 // REFINE procedure:
 //
@@ -22,12 +22,16 @@
 // RANDOMSET, the final map is distributed exactly per D (Fact 4.1 /
 // Lemma 4.1 — statistically tested).
 //
-// The analyzer enumerates all refinements, so instances must be small
-// (<= 14 unset inputs). That is enough to run the machinery for real and
-// check every invariant exactly; the paper's asymptotic envelopes are
-// evaluated by adversary/goodness.hpp.
+// Every map REFINE produces refines the one before it, so the adversary
+// keeps its last analysis and derives the next one from it (see
+// trace_analysis.hpp); the algorithm runs only for the first map of a
+// chain. The analyzer enumerates all refinements, so instances must be
+// small (<= 14 unset inputs). That is enough to run the machinery for
+// real and check every invariant exactly; the paper's asymptotic
+// envelopes are evaluated by adversary/goodness.hpp.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "adversary/input_map.hpp"
@@ -69,16 +73,22 @@ class RandomAdversary {
   /// GENERATE with horizon T in big-steps.
   GenerateResult generate(std::uint64_t T);
 
-  /// The analysis of the algorithm under the current map (for invariant
-  /// checks by callers); rebuilt on demand.
-  TraceAnalysis analyze(const PartialInputMap& f) const;
+  /// The analysis of the algorithm under `f` (for invariant checks by
+  /// callers): a copy of the one analysis() returns.
+  TraceAnalysis analyze(const PartialInputMap& f);
 
  private:
+  /// The analysis of `f`: the cached one when `f` is its map, derived
+  /// from it when `f` refines that map, run afresh otherwise. The
+  /// reference is valid until the next call.
+  const TraceAnalysis& analysis(const PartialInputMap& f);
+
   GsmAlgorithm algo_;
   GsmConfig cfg_;
   unsigned n_inputs_;
   BitDistribution D_;
-  mutable Rng rng_;
+  Rng rng_;
+  std::optional<TraceAnalysis> last_;
 };
 
 }  // namespace parbounds

@@ -19,8 +19,10 @@ ParityAdversaryRun ParityAdversary::run(unsigned max_phases) {
   PartialInputMap f = PartialInputMap::all_unset(n_);
   const BitDistribution D = BitDistribution::uniform(n_);
 
+  // Each phase's refined map refines the last, so after the first phase
+  // every analysis is derived from the previous one (trace_analysis.hpp).
+  TraceAnalysis ta(algo_, cfg_, n_, f);
   for (unsigned phase = 1; phase <= max_phases; ++phase) {
-    TraceAnalysis ta(algo_, cfg_, n_, f);
     if (phase > ta.phases()) break;
 
     // Current V: the still-free variables, addressed two ways — by their
@@ -79,7 +81,7 @@ ParityAdversaryRun ParityAdversary::run(unsigned max_phases) {
     f = random_set(f, to_fix, D, rng_);
 
     // Re-analyze under the refined map and check the paper's invariants.
-    TraceAnalysis ta2(algo_, cfg_, n_, f);
+    TraceAnalysis ta2(ta, f);
     const unsigned t2 = std::min(phase, ta2.phases());
     step.invariant_ok = true;
     for (std::size_t v = 0; v < ta2.entities().size(); ++v)
@@ -108,6 +110,7 @@ ParityAdversaryRun ParityAdversary::run(unsigned max_phases) {
     out.all_invariants_ok = out.all_invariants_ok && step.invariant_ok;
     out.steps.push_back(std::move(step));
     if (out.steps.back().V.size() <= 1) break;
+    ta = std::move(ta2);
   }
   out.final_map = f;
   return out;

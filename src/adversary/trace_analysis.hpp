@@ -18,7 +18,16 @@
 // per phase, the (cell, contents) pairs it read; a cell's trace is its
 // contents (initial contents plus everything merged in by strong-queuing
 // writes). Canonicalisation is structural, so two refinements get equal
-// ids iff their traces are equal.
+// ids iff their traces are equal. Ids are numbered in order of first
+// appearance — runs ascending, then phases, then entities — so the
+// numbering, too, is a function of the traces alone.
+//
+// Derivation. A map f' that refines f fixes more inputs, so the runs
+// under f' are a subset of the runs under f. The derived constructor
+// selects those columns of an existing analysis, drops the entities that
+// occur in none of them, and renumbers the ids; every accessor then
+// equals that of a fresh analysis of f'. REFINE chains (adversary.hpp,
+// parity_adversary.hpp) run the algorithm only for the chain's root.
 //
 // Restriction: analyzed algorithms must use single-word GSM writes (the
 // event log records one Word per write), which all in-repo algorithms do.
@@ -26,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,9 +60,16 @@ class TraceAnalysis {
     bool operator==(const Entity& o) const = default;
   };
 
+  /// Runs `algo` under every refinement of `base`.
   TraceAnalysis(GsmAlgorithm algo, GsmConfig cfg, unsigned n_inputs,
                 const PartialInputMap& base);
 
+  /// The analysis of `refined`, derived from `parent` without running the
+  /// algorithm. Throws std::invalid_argument unless `refined` refines
+  /// parent.base().
+  TraceAnalysis(const TraceAnalysis& parent, const PartialInputMap& refined);
+
+  const PartialInputMap& base() const { return base_; }
   unsigned free_count() const {
     return static_cast<unsigned>(free_vars_.size());
   }
@@ -97,38 +114,43 @@ class TraceAnalysis {
   std::vector<Word> final_cell(Addr addr, std::uint32_t r) const;
 
  private:
-  void run_refinement(std::uint32_t r, const GsmAlgorithm& algo,
-                      const GsmConfig& cfg);
-  unsigned aff_count(unsigned j, unsigned t, bool cells) const;
+  using Memory = std::map<Addr, std::vector<Word>>;
 
-  unsigned n_inputs_;
+  /// Flat index of (entity v, phase t, refinement r) in trace_ and acc_.
+  std::size_t at(std::size_t v, unsigned t, std::uint32_t r) const {
+    return (v * (phases_ + std::size_t{1}) + t) * refinements() + r;
+  }
+  /// The refinement row of entity v after phase t.
+  const std::uint32_t* row(std::size_t v, unsigned t) const {
+    return trace_.data() + at(v, t, 0);
+  }
+  bool knows(const std::uint32_t* row, unsigned j) const;
+  std::uint64_t acc_at(std::size_t v, unsigned t, std::uint32_t r,
+                       bool cell) const;
+  std::uint64_t acc_max(std::size_t v, unsigned t, bool cell) const;
+  unsigned aff_count(unsigned j, unsigned t, bool cells) const;
+  /// Number the ids in order of first appearance (runs, phases, entities).
+  void renumber(std::uint32_t id_bound);
+
   PartialInputMap base_;
   std::vector<unsigned> free_vars_;
   unsigned phases_ = 0;
   std::size_t proc_count_ = 0;
+  std::vector<Entity> entities_;  // sorted: processors, then cells
+  std::uint32_t id_count_ = 0;    // ids are 0 .. id_count_ - 1
 
-  std::vector<Entity> entities_;
-  std::map<Entity, std::size_t> entity_index_;
+  // [v][t][r] — interned trace ids, and the per-phase access count:
+  // reads+writes for a processor, contention for a cell.
+  std::vector<std::uint32_t> trace_;
+  std::vector<std::uint32_t> acc_;
+  std::vector<std::uint64_t> big_steps_;  // [t][r]
+  std::vector<std::uint32_t> run_phases_;  // [r] phases run r committed
+  std::vector<std::uint8_t> occurs_;       // [v][r] entity v occurs in run r
 
-  // trace_[v][t][r] — interned ids; dimensions fixed after construction.
-  std::vector<std::vector<std::vector<std::uint32_t>>> trace_;
-  // rw_[v][t][r] for processors, contention_[v][t][r] for cells.
-  std::vector<std::vector<std::vector<std::uint32_t>>> rw_;
-  std::vector<std::vector<std::vector<std::uint32_t>>> contention_;
-  std::vector<std::vector<std::uint64_t>> big_steps_;  // [t][r]
-  std::vector<std::map<Addr, std::vector<Word>>> final_mem_;  // [r]
-
-  // Structural interning of trace values.
-  std::map<std::vector<std::int64_t>, std::uint32_t> interner_;
-  std::uint32_t intern(const std::vector<std::int64_t>& key);
-
-  // Raw per-run capture before padding, keyed during construction.
-  struct RunCapture {
-    std::vector<PhaseTrace> phases;
-    std::map<Addr, std::vector<Word>> initial;
-    std::map<Addr, std::vector<Word>> final_mem;
-  };
-  std::vector<RunCapture> captures_;
+  // Final memory of every run of the chain's root analysis, shared along
+  // the chain; final_run_[r] is run r's root index.
+  std::shared_ptr<const std::vector<Memory>> final_mem_;
+  std::vector<std::uint32_t> final_run_;
 };
 
 /// Generalised certificate machinery: minimal number of coordinates that

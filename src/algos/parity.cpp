@@ -38,20 +38,19 @@ Word parity_circuit(QsmMachine& m, Addr in, std::uint64_t n, unsigned block) {
   while (len > 1) {
     const std::uint64_t k = std::min<std::uint64_t>(block, len);
     const std::uint64_t blocks = ceil_div(len, k);
-    const std::uint64_t asg = std::uint64_t{1} << k;  // assignment space
-    const Addr mism = m.alloc(blocks * asg);
-    const Addr out = m.alloc(blocks);
-
-    // Processor naming: pid(b, a, j) for block b, odd assignment a,
-    // position j. Only odd assignments run, and an odd assignment is
-    // determined by its low k-1 bits (the top bit restores odd parity;
-    // a short last block has a < 2^(k-1) anyway), so the ids index
-    // slot a mod 2^(k-1) — an injective relabelling that leaves no id to
-    // the even assignments and every per-processor count unchanged.
-    const std::uint64_t half = asg / 2;
+    // Processor and mismatch-cell naming: pid(b, a, j) for block b, odd
+    // assignment a, position j, and mism + slot(b, a). Only odd
+    // assignments run, and an odd assignment is determined by its low k-1
+    // bits (the top bit restores odd parity; a short last block has
+    // a < 2^(k-1) anyway), so both index slot a mod 2^(k-1) — an
+    // injective relabelling that leaves no id or cell to the even
+    // assignments and every per-processor and per-cell count unchanged.
+    const std::uint64_t half = std::uint64_t{1} << (k - 1);
     auto slot = [&](std::uint64_t b, std::uint64_t a) {
       return b * half + (a & (half - 1));
     };
+    const Addr mism = m.alloc(blocks * half);
+    const Addr out = m.alloc(blocks);
     auto pid = [&](std::uint64_t b, std::uint64_t a, std::uint64_t j) {
       return slot(b, a) * (k + 1) + j + 1;  // +1 leaves the leader's id
     };
@@ -89,7 +88,7 @@ Word parity_circuit(QsmMachine& m, Addr in, std::uint64_t n, unsigned block) {
           const Word bit = m.inbox(pid(b, a, j))[0];
           m.local(pid(b, a, j), 1);
           if ((bit != 0) != (((a >> j) & 1) != 0))
-            m.write(pid(b, a, j), mism + b * asg + a, 1);
+            m.write(pid(b, a, j), mism + slot(b, a), 1);
         }
       }
     }
@@ -100,7 +99,7 @@ Word parity_circuit(QsmMachine& m, Addr in, std::uint64_t n, unsigned block) {
     for (std::uint64_t b = 0; b < blocks; ++b) {
       const std::uint64_t kb = block_size(b);
       for (std::uint64_t a = 0; a < (std::uint64_t{1} << kb); ++a)
-        if (odd(a)) m.read(leader(b, a), mism + b * asg + a);
+        if (odd(a)) m.read(leader(b, a), mism + slot(b, a));
     }
     m.commit_phase();
 

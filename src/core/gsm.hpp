@@ -93,6 +93,14 @@ class GsmMachine {
     return initial_mem_;
   }
 
+  /// Hand the recorded trace and the time-0 snapshot to the caller,
+  /// leaving this machine's empty: trace analysis keeps thousands of
+  /// finished runs and need not copy their event logs.
+  ExecutionTrace take_trace() { return std::exchange(trace_, {}); }
+  std::unordered_map<Addr, std::vector<Word>> take_initial_memory() {
+    return std::exchange(initial_mem_, {});
+  }
+
   /// Visit every materialised cell as f(addr, contents) — trace analysis
   /// and test inspection only. Dense-arena cells come first in ascending
   /// address order, then sparse cells in unspecified order; callers that

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "adversary/goodness.hpp"
 #include "adversary/or_adversary.hpp"
@@ -191,6 +192,117 @@ TEST(Adversary, GoodnessMaintainedThroughRefinement) {
     const auto rep = check_t_good_s5(ta, std::min(t, ta.phases()), 1.0, 1.0,
                                      6.0, fixed);
     EXPECT_TRUE(rep.ok) << "after refine(" << t << ")";
+  }
+}
+
+// ----- pinned REFINE chains --------------------------------------------------
+//
+// GENERATE on OR trees, every RefineOutcome pinned. The values were
+// recorded when every step still re-ran the algorithm on all refinements;
+// analyses derived along the chain must reproduce them exactly.
+
+struct PinnedStep {
+  std::uint64_t x, forced_rw, forced_contention, inputs_fixed,
+      randomset_calls;
+  bool success;
+  const char* f;  ///< the refined map, one of 0 / 1 / * per input
+};
+
+struct PinnedChain {
+  unsigned n, fanin;  ///< seed 100 + n + fanin, horizon T = 8
+  std::uint64_t inputs_fixed_early;
+  const char* final_map;
+  std::vector<PinnedStep> steps;
+};
+
+const std::vector<PinnedChain>& pinned_chains() {
+  static const std::vector<PinnedChain> chains = {
+      {10, 2, 4, "0000101000",
+       {{2, 2, 1, 0, 2, true, "**********"},
+        {1, 1, 1, 2, 2, true, "00********"},
+        {2, 2, 1, 0, 2, true, "00********"},
+        {1, 1, 1, 2, 2, true, "0000******"},
+        {2, 2, 1, 0, 2, true, "0000******"}}},
+      {10, 3, 9, "1010010111",
+       {{3, 3, 1, 0, 2, true, "**********"},
+        {1, 1, 1, 3, 3, true, "101*******"},
+        {3, 3, 1, 0, 2, true, "101*******"},
+        {1, 1, 1, 6, 3, true, "101001011*"}}},
+      {12, 2, 4, "010000101010",
+       {{2, 2, 1, 0, 2, true, "************"},
+        {1, 1, 1, 2, 3, true, "01**********"},
+        {2, 2, 1, 0, 2, true, "01**********"},
+        {1, 1, 1, 2, 2, true, "0100********"},
+        {2, 2, 1, 0, 2, true, "0100********"}}},
+      {12, 3, 9, "111010001000",
+       {{3, 3, 1, 0, 2, true, "************"},
+        {1, 1, 1, 3, 3, true, "111*********"},
+        {3, 3, 1, 0, 2, true, "111*********"},
+        {1, 1, 1, 6, 3, true, "111010001***"}}},
+  };
+  return chains;
+}
+
+std::string map_string(const PartialInputMap& f) {
+  std::string s;
+  for (unsigned i = 0; i < f.size(); ++i)
+    s += f.is_set(i) ? static_cast<char>('0' + f.value(i)) : '*';
+  return s;
+}
+
+void expect_pinned(const RefineOutcome& got, const PinnedStep& want) {
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.forced_rw, want.forced_rw);
+  EXPECT_EQ(got.forced_contention, want.forced_contention);
+  EXPECT_EQ(got.inputs_fixed, want.inputs_fixed);
+  EXPECT_EQ(got.randomset_calls, want.randomset_calls);
+  EXPECT_EQ(got.success, want.success);
+  EXPECT_EQ(map_string(got.f), want.f);
+}
+
+TEST(Adversary, GenerateOutcomesPinned) {
+  for (const PinnedChain& c : pinned_chains()) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " fanin=" + std::to_string(c.fanin));
+    RandomAdversary adv(or_tree_algo(c.fanin), GsmConfig{}, c.n,
+                        BitDistribution::uniform(c.n), 100 + c.n + c.fanin);
+    const GenerateResult res = adv.generate(/*T=*/8);
+    ASSERT_EQ(res.steps.size(), c.steps.size());
+    for (std::size_t i = 0; i < c.steps.size(); ++i) {
+      SCOPED_TRACE("step " + std::to_string(i));
+      expect_pinned(res.steps[i], c.steps[i]);
+    }
+    EXPECT_EQ(res.total_big_steps, 8u);
+    EXPECT_EQ(res.total_inputs_fixed_early, c.inputs_fixed_early);
+    EXPECT_EQ(map_string(res.final_map), c.final_map);
+  }
+}
+
+TEST(Adversary, OutOfOrderAnalyzeRunsAfresh) {
+  // analyze(f_*) after a refined step asks for a map the cached analysis
+  // does not refine: the answer must be a fresh analysis of f_*, and the
+  // chain that continues from the refined map must not notice.
+  const PinnedChain& c = pinned_chains()[0];
+  const PartialInputMap all = PartialInputMap::all_unset(c.n);
+  const TraceAnalysis fresh(or_tree_algo(c.fanin), GsmConfig{}, c.n, all);
+  RandomAdversary adv(or_tree_algo(c.fanin), GsmConfig{}, c.n,
+                      BitDistribution::uniform(c.n), 100 + c.n + c.fanin);
+  PartialInputMap f = all;
+  for (std::size_t i = 0; i < c.steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    const RefineOutcome step = adv.refine(static_cast<unsigned>(i + 1), f);
+    expect_pinned(step, c.steps[i]);
+    f = step.f;
+    EXPECT_EQ(adv.analyze(f).base(), f);
+
+    const TraceAnalysis back = adv.analyze(all);
+    ASSERT_EQ(back.base(), all);
+    ASSERT_EQ(back.phases(), fresh.phases());
+    ASSERT_EQ(back.entities(), fresh.entities());
+    for (std::size_t v = 0; v < fresh.entities().size(); ++v)
+      for (unsigned t = 0; t <= fresh.phases(); ++t)
+        for (std::uint32_t r = 0; r < fresh.refinements(); ++r)
+          ASSERT_EQ(back.trace_id(v, t, r), fresh.trace_id(v, t, r));
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algos/gsm_algos.hpp"
 
 namespace parbounds {
@@ -87,6 +89,76 @@ TEST(ParityAdversary, HigherFaninCollapsesFaster) {
   // GSM with bounded alpha/beta, which is exactly the trade-off the
   // lower bound formalises.
   EXPECT_LE(r4.steps.size(), r2.steps.size());
+}
+
+TEST(ParityAdversary, StepsPinned) {
+  // The runs of the tests above, every step pinned. The values were
+  // recorded when each phase still re-ran the algorithm on all
+  // refinements; derived analyses must reproduce them exactly.
+  struct Step {
+    std::vector<unsigned> V;
+    std::uint64_t max_knowers, graph_degree, independent;
+  };
+  struct Case {
+    unsigned n, fanin, max_phases;
+    std::uint64_t seed;
+    const char* final_map;  ///< one of 0 / 1 / * per input
+    std::vector<Step> steps;
+  };
+  const std::vector<Case> cases = {
+      {10, 2, 12, 31, "*000010100",
+       {{{0, 2, 4, 6, 8}, 2, 1, 5},
+        {{0, 2, 4, 6, 8}, 3, 0, 5},
+        {{0, 4}, 4, 3, 2},
+        {{0, 4}, 5, 0, 2},
+        {{0}, 6, 1, 1}}},
+      {12, 2, 12, 32, "*01111010111",
+       {{{0, 2, 4, 6, 8, 10}, 2, 1, 6},
+        {{0, 2, 4, 6, 8, 10}, 3, 0, 6},
+        {{0, 4}, 4, 4, 2},
+        {{0, 4}, 5, 0, 2},
+        {{0}, 6, 1, 1}}},
+      {8, 2, 10, 33, "*1100100",
+       {{{0, 2, 4, 6}, 2, 1, 4},
+        {{0, 2, 4, 6}, 3, 0, 4},
+        {{0, 4}, 4, 3, 2},
+        {{0, 4}, 5, 0, 2},
+        {{0}, 6, 1, 1}}},
+      {12, 2, 12, 34, "*01111001011",
+       {{{0, 2, 4, 6, 8, 10}, 2, 1, 6},
+        {{0, 2, 4, 6, 8, 10}, 3, 0, 6},
+        {{0, 4}, 4, 4, 2},
+        {{0, 4}, 5, 0, 2},
+        {{0}, 6, 1, 1}}},
+      {12, 4, 12, 34, "*01110011101",
+       {{{0, 4, 8}, 2, 3, 3}, {{0, 4, 8}, 3, 0, 3}, {{0}, 4, 2, 1}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " fanin=" + std::to_string(c.fanin) +
+                 " seed=" + std::to_string(c.seed));
+    auto [algo, out] = parity_probe(c.n, c.fanin);
+    ParityAdversary adv(algo, GsmConfig{}, c.n, out, c.seed);
+    const auto run = adv.run(c.max_phases);
+    EXPECT_TRUE(run.all_invariants_ok);
+    std::string final_map;
+    for (unsigned i = 0; i < c.n; ++i)
+      final_map += run.final_map.is_set(i)
+                       ? static_cast<char>('0' + run.final_map.value(i))
+                       : '*';
+    EXPECT_EQ(final_map, c.final_map);
+    ASSERT_EQ(run.steps.size(), c.steps.size());
+    for (std::size_t i = 0; i < c.steps.size(); ++i) {
+      const ParityAdversaryStep& got = run.steps[i];
+      EXPECT_EQ(got.phase, i + 1);
+      EXPECT_EQ(got.V, c.steps[i].V) << "step " << i;
+      EXPECT_EQ(got.max_knowers, c.steps[i].max_knowers) << "step " << i;
+      EXPECT_EQ(got.graph_degree, c.steps[i].graph_degree) << "step " << i;
+      EXPECT_EQ(got.independent, c.steps[i].independent) << "step " << i;
+      EXPECT_TRUE(got.invariant_ok) << "step " << i;
+      EXPECT_TRUE(got.output_undetermined) << "step " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "adversary/or_adversary.hpp"
+#include "algos/gsm_algos.hpp"
+#include "util/rng.hpp"
 
 namespace parbounds {
 namespace {
@@ -108,7 +112,171 @@ TEST(TraceAnalysis, PartialBaseRestrictsRefinements) {
   EXPECT_TRUE(ta.know(p0, 1).empty());
 }
 
-// ----- subcube certificates ----------------------------------------------------
+// ----- derived analyses ------------------------------------------------------
+
+// Every accessor of `got` equals that of `want`, trace ids included.
+// Certificates are compared at two refinements per row (the search is
+// exponential in the free count).
+void expect_same_analysis(const TraceAnalysis& got,
+                          const TraceAnalysis& want) {
+  ASSERT_EQ(got.base(), want.base());
+  ASSERT_EQ(got.free_vars(), want.free_vars());
+  ASSERT_EQ(got.phases(), want.phases());
+  ASSERT_EQ(got.entities(), want.entities());
+  ASSERT_EQ(got.proc_count(), want.proc_count());
+  const std::uint32_t R = want.refinements();
+  for (unsigned t = 0; t <= want.phases(); ++t)
+    for (std::uint32_t r = 0; r < R; ++r)
+      ASSERT_EQ(got.big_steps(t, r), want.big_steps(t, r)) << t << " " << r;
+  for (std::size_t v = 0; v < want.entities().size(); ++v) {
+    const auto& e = want.entities()[v];
+    ASSERT_EQ(got.entity_index(e), v);
+    for (unsigned t = 0; t <= want.phases(); ++t) {
+      for (std::uint32_t r = 0; r < R; ++r) {
+        ASSERT_EQ(got.trace_id(v, t, r), want.trace_id(v, t, r))
+            << "v=" << v << " t=" << t << " r=" << r;
+        ASSERT_EQ(got.rw_count(v, t, r), want.rw_count(v, t, r));
+        ASSERT_EQ(got.contention(v, t, r), want.contention(v, t, r));
+      }
+      EXPECT_EQ(got.max_rw(v, t), want.max_rw(v, t));
+      EXPECT_EQ(got.max_contention(v, t), want.max_contention(v, t));
+      EXPECT_EQ(got.states_count(v, t), want.states_count(v, t));
+      EXPECT_EQ(got.know(v, t), want.know(v, t));
+      EXPECT_EQ(got.deg_states(v, t), want.deg_states(v, t));
+      EXPECT_EQ(got.cert_at(v, t, 0), want.cert_at(v, t, 0));
+      EXPECT_EQ(got.cert_at(v, t, R - 1), want.cert_at(v, t, R - 1));
+    }
+    if (e.is_cell) {
+      for (std::uint32_t r = 0; r < R; ++r)
+        ASSERT_EQ(got.final_cell(e.id, r), want.final_cell(e.id, r));
+    }
+  }
+  for (unsigned t = 0; t <= want.phases(); ++t)
+    for (unsigned j = 0; j < want.free_count(); ++j) {
+      EXPECT_EQ(got.aff_proc_count(j, t), want.aff_proc_count(j, t));
+      EXPECT_EQ(got.aff_cell_count(j, t), want.aff_cell_count(j, t));
+    }
+}
+
+// An input-ADAPTIVE program (the one the Lemma 4.1 adversary test uses):
+// processor 0 reads input 0, then follows it to input 1 or input 2.
+void adaptive_algo(GsmMachine& m, std::span<const Word> input) {
+  const Addr in = m.alloc(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    m.preload(in + i, std::vector<Word>{input[i]});
+  const Addr out = m.alloc(1);
+  m.begin_phase();
+  m.read(0, in + 0);
+  m.commit_phase();
+  const Word first = m.inbox(0)[0].empty() ? 0 : m.inbox(0)[0][0];
+  m.begin_phase();
+  m.read(0, first != 0 ? in + 1 : in + 2);
+  m.commit_phase();
+  const Word second = m.inbox(0)[0].empty() ? 0 : m.inbox(0)[0][0];
+  m.begin_phase();
+  m.write(0, out, second);
+  m.commit_phase();
+}
+
+// Input-dependent shape: every processor reads its input; only when
+// input 0 is 1 does a second phase run, in which the processors that
+// read a 1 write into a sink nothing else touches. Fixing input 0 to 0
+// removes both that phase and the sink.
+void shrinking_algo(GsmMachine& m, std::span<const Word> input) {
+  const Addr in = m.alloc(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    m.preload(in + i, std::vector<Word>{input[i]});
+  const Addr sink = m.alloc(1);
+  m.begin_phase();
+  for (std::size_t i = 0; i < input.size(); ++i) m.read(i, in + i);
+  m.commit_phase();
+  if (m.inbox(0)[0][0] == 0) return;
+  m.begin_phase();
+  for (std::size_t i = 0; i < input.size(); ++i)
+    if (m.inbox(i)[0][0] != 0) m.write(i, sink, static_cast<Word>(i + 1));
+  m.commit_phase();
+}
+
+struct ChainShrinkage {
+  bool entities = false, phases = false;
+};
+
+// A refinement chain from f_*: fix nothing, then random batches of one to
+// three inputs, then everything left. Each link is derived from the one
+// before and compared with a fresh analysis of the same map.
+ChainShrinkage check_chain(const GsmAlgorithm& algo, unsigned n,
+                           std::uint64_t seed) {
+  ChainShrinkage shrank;
+  Rng rng(seed);
+  PartialInputMap f = PartialInputMap::all_unset(n);
+  TraceAnalysis derived(algo, GsmConfig{}, n, f);
+  for (unsigned link = 0;; ++link) {
+    std::vector<unsigned> unset = f.unset_indices();
+    std::size_t fix = link == 0 ? 0 : 1 + rng.next_below(3);
+    if (fix >= unset.size()) fix = unset.size();
+    for (std::size_t k = 0; k < fix; ++k) {
+      const auto pick = rng.next_below(unset.size());
+      f.set(unset[pick], rng.next_bool() ? 1 : 0);
+      unset.erase(unset.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    TraceAnalysis next(derived, f);
+    shrank.entities |= next.entities().size() < derived.entities().size();
+    shrank.phases |= next.phases() < derived.phases();
+    const TraceAnalysis fresh(algo, GsmConfig{}, n, f);
+    SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+                 " link=" + std::to_string(link));
+    expect_same_analysis(next, fresh);
+    derived = std::move(next);
+    if (f.complete()) break;
+  }
+  return shrank;
+}
+
+TEST(TraceAnalysis, DerivedEqualsFresh) {
+  const auto tree = [](unsigned fanin, bool parity) -> GsmAlgorithm {
+    return [fanin, parity](GsmMachine& m, std::span<const Word> in) {
+      if (parity)
+        gsm_parity_tree(m, in, fanin);
+      else
+        gsm_or_tree(m, in, fanin);
+    };
+  };
+  for (const std::uint64_t seed : {1u, 2u}) {
+    check_chain(tree(2, false), 10, seed);
+    check_chain(tree(3, false), 9, seed);
+    check_chain(tree(2, true), 8, seed);
+    check_chain(adaptive_algo, 6, seed);
+  }
+  ChainShrinkage shrank;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const ChainShrinkage s = check_chain(shrinking_algo, 6, seed);
+    shrank.entities |= s.entities;
+    shrank.phases |= s.phases;
+  }
+  EXPECT_TRUE(shrank.entities);
+  EXPECT_TRUE(shrank.phases);
+}
+
+TEST(TraceAnalysis, DerivingFromANonRefiningMapThrows) {
+  const GsmAlgorithm algo = [](GsmMachine& m, std::span<const Word> in) {
+    copy_algo(m, in);
+  };
+  PartialInputMap one(3);
+  one.set(0, 1);
+  const TraceAnalysis ta(algo, GsmConfig{}, 3, one);
+  PartialInputMap zero(3);
+  zero.set(0, 0);
+  EXPECT_THROW(TraceAnalysis(ta, zero).phases(), std::invalid_argument);
+  EXPECT_THROW(TraceAnalysis(ta, PartialInputMap::all_unset(3)).phases(),
+               std::invalid_argument);  // unsets a fixed input
+  EXPECT_THROW(TraceAnalysis(ta, PartialInputMap(4)).phases(),
+               std::invalid_argument);
+  PartialInputMap more = one;
+  more.set(2, 0);
+  EXPECT_EQ(TraceAnalysis(ta, more).free_count(), 1u);
+}
+
+// ----- subcube certificates --------------------------------------------------
 
 TEST(SubcubeCertificate, KnownColourings) {
   // Parity colouring: every point needs all coordinates fixed.
